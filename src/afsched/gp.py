@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
 __all__ = [
@@ -36,6 +37,9 @@ NOISE_FLOOR = 1e-10
 _SQRT5 = math.sqrt(5.0)
 # Escalation ladder applied to K + noise*I when the factorization fails.
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4)
+# Negative likelihood fit's objective returns when no jitter rescues the
+# Cholesky, steering L-BFGS away from that region.
+_FAILED_OBJECTIVE = 1e25
 
 # Log-uniform sampling ranges for multi-start initial points.
 _START_LENGTHSCALE = (1e-2, 10.0)
@@ -155,10 +159,13 @@ def kernel_matern52(a: np.ndarray, b: np.ndarray, params: KernelParams) -> float
     return params.signal_variance * (1.0 + _SQRT5 * r + (5.0 / 3.0) * sq) * math.exp(-_SQRT5 * r)
 
 
-def _scaled_sq_diffs(x: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
-    """Per-dimension squared scaled differences, shape (n, n, d)."""
-    diff = (x[:, None, :] - x[None, :, :]) / lengthscales
-    return diff * diff
+def _sq_diffs(x: np.ndarray) -> np.ndarray:
+    """Squared coordinate differences of all row pairs, shape (n * n, d).
+
+    They do not depend on the hyperparameters, so a fit builds them once.
+    """
+    diff = x[:, None, :] - x[None, :, :]
+    return (diff * diff).reshape(-1, x.shape[1])
 
 
 def _matern52_from_sq(sq: np.ndarray, signal_variance: float) -> np.ndarray:
@@ -177,19 +184,75 @@ def _cross_kernel(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndar
 
 
 def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky of a noisy kernel matrix, escalating diagonal jitter."""
+    """Lower Cholesky of a noisy kernel matrix, escalating diagonal jitter.
+
+    The factor's upper triangle is zero. `k_noisy` is not modified.
+    """
     n = k_noisy.shape[0]
-    last = 0.0
+    work = k_noisy
     for jitter in _JITTERS:
-        last = jitter
-        try:
-            L = cholesky(k_noisy + jitter * np.eye(n), lower=True, check_finite=False)
+        if jitter:
+            work = k_noisy.copy()
+            work.flat[:: n + 1] += jitter
+        L, info = dpotrf(work, lower=1, clean=1)
+        if info == 0:
             return L, jitter
-        except np.linalg.LinAlgError:
-            continue
     raise GpFitError(
-        f"Cholesky factorization failed up to jitter {last:g}", jitter=last
+        f"Cholesky factorization failed up to jitter {_JITTERS[-1]:g}", jitter=_JITTERS[-1]
     )
+
+
+def _factorize(
+    theta: np.ndarray, raw_sq: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel matrix K, gradient envelope, Cholesky factor of K + nv I and alpha.
+
+    `theta` is KernelParams.to_vector(); `raw_sq` comes from _sq_diffs. The
+    envelope E gives dK/d(log ls_j) = E * (squared differences in j) / ls_j^2.
+    """
+    n = y.size
+    sv = math.exp(theta[-2])
+    sq = (raw_sq @ np.exp(-2.0 * theta[:-2])).reshape(n, n)
+    r5 = np.sqrt(sq)
+    r5 *= _SQRT5
+    decay = np.exp(-r5)
+    # k = sv (1 + sqrt(5) r + 5 r^2 / 3) exp(-sqrt(5) r), split so that its
+    # first part, times 5/3, is the envelope; r5's buffer becomes the envelope.
+    envelope = r5
+    envelope += 1.0
+    envelope *= decay
+    envelope *= sv
+    k = sq * ((5.0 / 3.0) * sv)
+    k *= decay
+    k += envelope
+    envelope *= 5.0 / 3.0
+
+    k_noisy = k.copy()
+    k_noisy.flat[:: n + 1] += math.exp(theta[-1])
+    L, _ = _chol_with_jitter(k_noisy)
+    alpha, _ = dpotrs(L, y, lower=1)
+    return k, envelope, L, alpha
+
+
+def _lml_and_grad(theta: np.ndarray, raw_sq: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Log marginal likelihood and its gradient at log-parameters theta (GPML Alg. 2.1, eq. 5.9)."""
+    n = y.size
+    k, envelope, L, alpha = _factorize(theta, raw_sq, y)
+    value = -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diagonal(L)))) - 0.5 * n * math.log(2.0 * math.pi)
+
+    # W = alpha alpha' - K^-1; d(lml)/d(theta_j) = 0.5 tr(W dK/d(theta_j)).
+    # dpotri fills the lower triangle of K^-1 and leaves L's zero upper one.
+    lower_inv, _ = dpotri(L, lower=1)
+    k_inv = lower_inv + lower_inv.T
+    k_inv.flat[:: n + 1] *= 0.5
+    w = np.outer(alpha, alpha)
+    w -= k_inv
+
+    grad = np.empty(theta.size)
+    grad[:-2] = (0.5 * ((w * envelope).ravel() @ raw_sq)) * np.exp(-2.0 * theta[:-2])
+    grad[-2] = 0.5 * float(np.vdot(w, k))                         # dK/d(log sv) = K
+    grad[-1] = 0.5 * math.exp(theta[-1]) * float(np.trace(w))     # dK/d(log nv) = nv I
+    return value, grad
 
 
 def log_marginal_likelihood(
@@ -202,44 +265,9 @@ def log_marginal_likelihood(
     """
     x = np.asarray(train_x, dtype=float)
     y = np.asarray(train_y_standardized, dtype=float)
-    n, d = x.shape
-    if d != params.dim:
-        raise ValueError(f"train_x dim {d} does not match {params.dim} lengthscales")
-
-    sq_dims = _scaled_sq_diffs(x, params.lengthscales)
-    return _lml_core(params, sq_dims, y)
-
-
-def _lml_core(
-    params: KernelParams, sq_dims: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """LML value/gradient given precomputed per-dimension squared diffs."""
-    n = y.size
-    sv = params.signal_variance
-    nv = params.noise_variance
-    sq = sq_dims.sum(axis=2)
-    r = np.sqrt(sq)
-    decay = np.exp(-_SQRT5 * r)
-    k = sv * (1.0 + _SQRT5 * r + (5.0 / 3.0) * sq) * decay
-    k_noisy = k + nv * np.eye(n)
-
-    L, _ = _chol_with_jitter(k_noisy)
-    alpha = cho_solve((L, True), y, check_finite=False)
-    value = -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diag(L)))) - 0.5 * n * math.log(2.0 * math.pi)
-
-    # W = alpha alpha' - K^-1; d(lml)/d(theta_j) = 0.5 tr(W dK/d(theta_j)).
-    k_inv = cho_solve((L, True), np.eye(n), check_finite=False)
-    w = np.outer(alpha, alpha) - k_inv
-
-    grad = np.empty(params.dim + 2)
-    # dK/d(log ls_k) = sv * (5/3)(1 + sqrt(5) r) exp(-sqrt(5) r) * sq_dims[..., k]
-    envelope = sv * (5.0 / 3.0) * (1.0 + _SQRT5 * r) * decay
-    we = w * envelope
-    for j in range(params.dim):
-        grad[j] = 0.5 * float(np.sum(we * sq_dims[:, :, j]))
-    grad[-2] = 0.5 * float(np.sum(w * k))        # dK/d(log sv) = K
-    grad[-1] = 0.5 * nv * float(np.trace(w))     # dK/d(log nv) = nv I
-    return value, grad
+    if x.shape[1] != params.dim:
+        raise ValueError(f"train_x dim {x.shape[1]} does not match {params.dim} lengthscales")
+    return _lml_and_grad(params.to_vector(), _sq_diffs(x), y)
 
 
 def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -272,10 +300,7 @@ def build_model(train_x: np.ndarray, train_y: np.ndarray, params: KernelParams) 
     if x.shape[1] != params.dim:
         raise ValueError(f"train_x dim {x.shape[1]} does not match {params.dim} lengthscales")
     y_s, y_mean, y_std = _standardize(y)
-    sq_dims = _scaled_sq_diffs(x, params.lengthscales)
-    k = _matern52_from_sq(sq_dims.sum(axis=2), params.signal_variance)
-    L, _ = _chol_with_jitter(k + params.noise_variance * np.eye(x.shape[0]))
-    alpha = cho_solve((L, True), y_s, check_finite=False)
+    _, _, L, alpha = _factorize(params.to_vector(), _sq_diffs(x), y_s)
     return GpModel(
         params=params,
         train_x=x,
@@ -309,17 +334,13 @@ def fit(
 
     y_s, y_mean, y_std = _standardize(y)
 
-    # Squared coordinate differences do not depend on the hyperparameters;
-    # scale them per objective evaluation instead of rebuilding.
-    raw_sq = (x[:, None, :] - x[None, :, :]) ** 2
+    raw_sq = _sq_diffs(x)
 
     def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        params = KernelParams.from_vector(theta)
-        ls2 = np.exp(2.0 * params.log_lengthscales)
         try:
-            value, grad = _lml_core(params, raw_sq / ls2, y_s)
+            value, grad = _lml_and_grad(theta, raw_sq, y_s)
         except GpFitError:
-            return 1e25, np.zeros(d + 2)
+            return _FAILED_OBJECTIVE, np.zeros(d + 2)
         return -value, -grad
 
     starts = np.column_stack(
@@ -333,6 +354,7 @@ def fit(
 
     best_theta = None
     best_neg = math.inf
+    failed = 0
     for i in range(restarts):
         result = minimize(
             objective,
@@ -342,11 +364,15 @@ def fit(
             bounds=bounds,
             options={"maxiter": 200},
         )
+        failed += result.fun >= _FAILED_OBJECTIVE
         if result.fun < best_neg:
             best_neg = float(result.fun)
             best_theta = np.asarray(result.x, dtype=float)
-    if best_theta is None or not math.isfinite(best_neg):
-        raise GpFitError("all likelihood ascents failed")
+    if failed == restarts or best_theta is None or not math.isfinite(best_neg):
+        raise GpFitError(
+            f"all {restarts} likelihood ascents failed"
+            f" ({failed} ended on a kernel matrix no jitter could factorize)"
+        )
 
     return build_model(x, y, KernelParams.from_vector(best_theta))
 

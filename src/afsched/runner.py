@@ -75,8 +75,13 @@ class ExperimentConfig:
             raise ValueError("doe_size must be >= 2")
         if self.bo_evals < 1:
             raise ValueError("bo_evals must be >= 1")
-        if not self.seeds:
-            raise ValueError("seeds must be non-empty")
+        for name in ("seeds", "functions", "schedules"):
+            values = getattr(self, name)
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"duplicate {name}: {', '.join(map(str, dict.fromkeys(repeated)))}")
         if self.gp_restarts < 1:
             raise ValueError("gp_restarts must be >= 1")
         for fid in self.functions:

@@ -173,6 +173,27 @@ def test_run_exits_nonzero_when_every_cell_fails(tmp_path, monkeypatch, capsys) 
     assert all(isinstance(r, CellFailure) for r in records)
 
 
+def _forbid_compute(monkeypatch) -> None:
+    def run_grid(*args, **kwargs):
+        raise AssertionError("run_grid called on an invalid grid")
+
+    monkeypatch.setattr(cli_mod, "run_grid", run_grid)
+
+
+def test_run_rejects_empty_function_list(tmp_path, monkeypatch, capsys) -> None:
+    _forbid_compute(monkeypatch)
+    assert _run(tmp_path / "runs", functions="") == 2
+    assert "functions must be non-empty" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_rejects_duplicate_seeds(tmp_path, monkeypatch, capsys) -> None:
+    _forbid_compute(monkeypatch)
+    assert _run(tmp_path / "runs", seeds="0,0,1") == 2
+    assert "duplicate seeds: 0" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_worker_invariance_bytes(tmp_path) -> None:
     a, b = tmp_path / "w1", tmp_path / "w2"
     args = [

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from afsched import gp
 from afsched.gp import (
     GpFitError,
     KernelParams,
@@ -109,6 +110,80 @@ def test_lml_gradient_matches_central_differences() -> None:
         v_down, _ = log_marginal_likelihood(KernelParams.from_vector(down), x, y)
         fd = (v_up - v_down) / (2.0 * h)
         assert abs(grad[j] - fd) / max(abs(fd), 1e-6) < 1e-4
+
+
+def _dense_lml(params, x, y):
+    """Oracle: GPML Alg. 2.1 / eq. 5.9 with a dense inverse, one dimension at a time.
+
+    Uses the jitter the factorization needs on this kernel; returns it too.
+    """
+    n, d = x.shape
+    diff2 = (x[:, None, :] - x[None, :, :]) ** 2
+    ls2 = params.lengthscales**2
+    sq = np.zeros((n, n))
+    for j in range(d):
+        sq += diff2[:, :, j] / ls2[j]
+    r = np.sqrt(sq)
+    decay = np.exp(-math.sqrt(5.0) * r)
+    k = params.signal_variance * (1.0 + math.sqrt(5.0) * r + (5.0 / 3.0) * sq) * decay
+    k_noisy = k + params.noise_variance * np.eye(n)
+    _, jitter = gp._chol_with_jitter(k_noisy)
+    k_noisy += jitter * np.eye(n)
+    k_inv = np.linalg.inv(k_noisy)
+    alpha = k_inv @ y
+    value = -0.5 * y @ alpha - 0.5 * np.linalg.slogdet(k_noisy)[1] - 0.5 * n * math.log(2.0 * math.pi)
+    w = np.outer(alpha, alpha) - k_inv
+    envelope = params.signal_variance * (5.0 / 3.0) * (1.0 + math.sqrt(5.0) * r) * decay
+    grad = [0.5 * np.sum(w * envelope * diff2[:, :, j] / ls2[j]) for j in range(d)]
+    grad += [0.5 * np.sum(w * k), 0.5 * params.noise_variance * np.trace(w)]
+    return value, np.array(grad), jitter
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("n", [2, 15, 60, 115])
+def test_lml_matches_dense_oracle(n, d) -> None:
+    x, y, params = _random_problem(np.random.default_rng([n, d]), n, d)
+    value, grad = log_marginal_likelihood(params, x, y)
+    ref_value, ref_grad, _ = _dense_lml(params, x, y)
+    np.testing.assert_allclose(value, ref_value, rtol=1e-9)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-9)
+
+
+def test_lml_matches_dense_oracle_with_jitter(monkeypatch) -> None:
+    """Duplicate rows at the noise floor, factorized with jitter 1e-4.
+
+    A Matern matrix that truly fails to factorize at the noise floor is
+    conditioned near 1/eps, where no two solvers agree to 1e-9. So the
+    factorization here reports failure until the diagonal carries 1e-4 of
+    jitter, and the oracle must see the same jittered matrix.
+    """
+    real_dpotrf = gp.dpotrf
+
+    def dpotrf(a, **kwargs):
+        c, info = real_dpotrf(a, **kwargs)
+        return c, (info if a[0, 0] > 1.0 + 5e-5 else 1)
+
+    monkeypatch.setattr(gp, "dpotrf", dpotrf)
+    rng = np.random.default_rng(31)
+    # Repeated points of a deterministic function: equal targets.
+    x = np.repeat(rng.random((8, 2)), 2, axis=0)
+    y = np.repeat(rng.standard_normal(8), 2)
+    params = _params([0.3, 0.5], signal_variance=1.0, noise_variance=gp.NOISE_FLOOR)
+    value, grad = log_marginal_likelihood(params, x, y)
+    ref_value, ref_grad, jitter = _dense_lml(params, x, y)
+    assert jitter == 1e-4
+    np.testing.assert_allclose(value, ref_value, rtol=1e-9)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-9)
+
+
+def test_fit_raises_when_every_ascent_fails(monkeypatch) -> None:
+    def never_factorizes(k_noisy):
+        raise GpFitError("Cholesky factorization failed up to jitter 0.0001", jitter=1e-4)
+
+    monkeypatch.setattr(gp, "_chol_with_jitter", never_factorizes)
+    x = np.random.default_rng(37).random((6, 2))
+    with pytest.raises(GpFitError, match="all 3 likelihood ascents failed"):
+        fit(x, x.sum(axis=1), restarts=3, rng=0)
 
 
 def test_fit_handles_duplicate_inputs_with_distinct_targets() -> None:

@@ -62,6 +62,10 @@ def test_config_validation() -> None:
         ExperimentConfig(dim=2, seeds=(0,), schedules=("ee30",))
     with pytest.raises(ValueError):
         ExperimentConfig(dim=2, seeds=(0,), doe_size=1)
+    bad_lists = [("functions", ()), ("schedules", ()), ("functions", ("f1", "f5", "f1")), ("schedules", ("ei", "ei"))]
+    for field, values in bad_lists:
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(dim=2, seeds=(0,), **{field: values})
 
 
 def test_single_step_trial_shape_and_incumbent() -> None:
