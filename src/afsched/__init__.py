@@ -5,10 +5,10 @@ acquisition maximizer) plus seeded benchmark landscapes and an experiment
 harness that emits normalized log-regret statistics.
 """
 
-from .acquisition import AcquisitionKind, ImprovementContext, ei, evaluate, pi
-from .afopt import BoxDomain, DesignSpec, initial_design, maximize_af
-from .benchfn import FUNCTION_IDS, BenchInstance, FunctionGroup, bbob_domain, group_of, make_instance
-from .gp import GpFitError, GpModel, KernelParams, Posterior, fit, predict, predict_batch
+from .acquisition import AcquisitionKind, scores
+from .afopt import BoxDomain, initial_design, maximize_af
+from .benchfn import FUNCTION_IDS, BenchInstance, bbob_domain, make_instance
+from .gp import GpFitError, GpModel, KernelParams, fit, predict_batch
 from .runner import (
     AggregateReport,
     CellFailure,
@@ -19,6 +19,6 @@ from .runner import (
     run_grid,
     run_trial,
 )
-from .schedule import SCHEDULE_NAMES, ScheduleSpec, ScheduleVariant, from_name, full_trace, kind_at
+from .schedule import SCHEDULE_NAMES, kind_at
 
 __version__ = "0.1.0"

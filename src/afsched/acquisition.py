@@ -14,22 +14,12 @@ All values are computed in the original output units of the objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.special import erf
 
-__all__ = [
-    "AcquisitionKind",
-    "ImprovementContext",
-    "std_normal_cdf",
-    "std_normal_pdf",
-    "pi",
-    "ei",
-    "evaluate",
-    "scores",
-]
+__all__ = ["AcquisitionKind", "std_normal_cdf", "std_normal_pdf", "scores"]
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -38,25 +28,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 class AcquisitionKind(Enum):
     EI = "ei"
     PI = "pi"
-
-
-@dataclass(frozen=True)
-class ImprovementContext:
-    """Inputs of one acquisition evaluation.
-
-    y_min is the best observed objective value so far, delta = y_min - mu(x),
-    and sigma is the predictive standard deviation at x (all original units).
-    """
-
-    y_min: float
-    delta: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.delta):
-            raise ValueError(f"delta must be finite, got {self.delta}")
-        if not (self.sigma >= 0.0):
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
 
 def std_normal_cdf(z):
@@ -70,48 +41,18 @@ def std_normal_pdf(z):
     return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
 
 
-def _pi_values(delta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    positive = sigma > 0.0
-    z = np.divide(delta, sigma, out=np.zeros_like(delta), where=positive)
-    return np.where(positive, std_normal_cdf(z), (delta > 0.0).astype(float))
-
-
-def _ei_values(delta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    positive = sigma > 0.0
-    z = np.divide(delta, sigma, out=np.zeros_like(delta), where=positive)
-    value = delta * std_normal_cdf(z) + sigma * std_normal_pdf(z)
-    # The expectation is nonnegative; clip roundoff from the two-term form.
-    return np.where(positive, np.maximum(value, 0.0), 0.0)
-
-
-def pi(ctx: ImprovementContext) -> float:
-    """Probability that a draw from N(mu, sigma^2) improves on y_min."""
-    return float(_pi_values(np.float64(ctx.delta), np.float64(ctx.sigma)))
-
-
-def ei(ctx: ImprovementContext) -> float:
-    """Expected improvement of a draw from N(mu, sigma^2) over y_min."""
-    return float(_ei_values(np.float64(ctx.delta), np.float64(ctx.sigma)))
-
-
-def evaluate(kind: AcquisitionKind, posterior, y_min: float) -> float:
-    """Score a posterior (objects with .mean and .std) under one criterion."""
-    ctx = ImprovementContext(y_min=y_min, delta=y_min - posterior.mean, sigma=posterior.std)
-    if kind is AcquisitionKind.EI:
-        return ei(ctx)
-    if kind is AcquisitionKind.PI:
-        return pi(ctx)
-    raise ValueError(f"unknown acquisition kind: {kind!r}")
-
-
 def scores(kind: AcquisitionKind, means: np.ndarray, stds: np.ndarray, y_min: float) -> np.ndarray:
-    """Vectorized acquisition values for a batch of posterior (mean, std) pairs."""
+    """Acquisition values for a batch of posterior (mean, std) pairs."""
     delta = y_min - np.asarray(means, dtype=float)
     sigma = np.asarray(stds, dtype=float)
     if np.any(sigma < 0.0):
         raise ValueError("stds must be nonnegative")
+    positive = sigma > 0.0
+    z = np.divide(delta, sigma, out=np.zeros_like(delta), where=positive)
     if kind is AcquisitionKind.EI:
-        return _ei_values(delta, sigma)
+        value = delta * std_normal_cdf(z) + sigma * std_normal_pdf(z)
+        # The expectation is nonnegative; clip roundoff from the two-term form.
+        return np.where(positive, np.maximum(value, 0.0), 0.0)
     if kind is AcquisitionKind.PI:
-        return _pi_values(delta, sigma)
+        return np.where(positive, std_normal_cdf(z), (delta > 0.0).astype(float))
     raise ValueError(f"unknown acquisition kind: {kind!r}")

@@ -14,12 +14,7 @@ import numpy as np
 from .acquisition import AcquisitionKind, scores
 from .gp import GpModel, predict_batch
 
-__all__ = [
-    "BoxDomain",
-    "DesignSpec",
-    "initial_design",
-    "maximize_af",
-]
+__all__ = ["BoxDomain", "initial_design", "maximize_af"]
 
 N_CANDIDATES = 1024
 N_REFINE_STARTS = 5
@@ -55,36 +50,20 @@ class BoxDomain:
     def from_unit(self, u: np.ndarray) -> np.ndarray:
         return self.lower + np.asarray(u, dtype=float) * (self.upper - self.lower)
 
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
+def initial_design(n_points: int, domain: BoxDomain, rng: np.random.Generator) -> np.ndarray:
+    """Latin hypercube sample of n_points points in the domain.
 
-@dataclass(frozen=True)
-class DesignSpec:
-    """Initial-design request; only Latin hypercube sampling is supported."""
-
-    n_points: int
-    method: str = "lhs"
-
-    def __post_init__(self) -> None:
-        if self.n_points < 1:
-            raise ValueError("n_points must be >= 1")
-        if self.method != "lhs":
-            raise ValueError(f"unknown design method {self.method!r}")
-
-
-def initial_design(spec: DesignSpec, domain: BoxDomain, rng: np.random.Generator) -> np.ndarray:
-    """Latin hypercube sample of spec.n_points points in the domain.
-
-    Each coordinate places exactly one point in each of n equal-width strata.
-    The draw depends only on (rng seed, dim, n_points); callers that must
-    share a design (e.g. across schedules) pass generators with equal seeds.
+    Each coordinate places exactly one point in each of n_points equal-width
+    strata. The draw depends only on (rng seed, dim, n_points); callers that
+    must share a design (e.g. across schedules) pass generators with equal
+    seeds.
     """
-    n = spec.n_points
-    unit = np.empty((n, domain.dim))
+    if n_points < 1:
+        raise ValueError("n_points must be >= 1")
+    unit = np.empty((n_points, domain.dim))
     for j in range(domain.dim):
-        unit[:, j] = (rng.permutation(n) + rng.random(n)) / n
+        unit[:, j] = (rng.permutation(n_points) + rng.random(n_points)) / n_points
     return domain.from_unit(unit)
 
 

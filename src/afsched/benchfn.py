@@ -1,10 +1,14 @@
 """Seeded BBOB-style test landscapes with known optima.
 
 Ten single-objective noiseless landscapes spanning the five structural
-groups of the standard 24-function suite: f1 (sphere), f5 (linear slope),
-f7 (step ellipsoid), f8 (Rosenbrock), f12 (bent cigar), f15 (Rastrigin),
-f16 (Weierstrass), f21 (Gallagher 101 peaks), f23 (Katsuura) and f24
-(Lunacek bi-Rastrigin).
+groups of the standard 24-function suite:
+
+- separable: f1 (sphere), f5 (linear slope);
+- low or moderate conditioning: f7 (step ellipsoid), f8 (Rosenbrock);
+- high conditioning, unimodal: f12 (bent cigar);
+- multimodal, adequate global structure: f15 (Rastrigin), f16 (Weierstrass);
+- multimodal, weak global structure: f21 (Gallagher 101 peaks), f23
+  (Katsuura), f24 (Lunacek bi-Rastrigin).
 
 Instances are deterministic in (function_id, dim, instance_seed). Each draws
 its optimum location uniformly in [-4, 4]^d and, for non-separable
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -32,10 +35,8 @@ __all__ = [
     "DOMAIN_LOWER",
     "DOMAIN_UPPER",
     "FUNCTION_IDS",
-    "FunctionGroup",
     "BenchInstance",
     "bbob_domain",
-    "group_of",
     "make_instance",
     "evaluate",
     "evaluate_many",
@@ -55,36 +56,6 @@ _PEAK_MAX_CONDITION = 1000.0
 _WEIERSTRASS_TERMS = 12
 _KATSUURA_TERMS = 32
 _LUNACEK_MU1 = 2.5
-
-
-class FunctionGroup(Enum):
-    SEPARABLE = "separable"
-    LOW_CONDITIONING = "low_conditioning"
-    HIGH_CONDITIONING_UNIMODAL = "high_conditioning_unimodal"
-    MULTIMODAL_ADEQUATE_STRUCTURE = "multimodal_adequate_structure"
-    MULTIMODAL_WEAK_STRUCTURE = "multimodal_weak_structure"
-
-
-_GROUPS = {
-    "f1": FunctionGroup.SEPARABLE,
-    "f5": FunctionGroup.SEPARABLE,
-    "f7": FunctionGroup.LOW_CONDITIONING,
-    "f8": FunctionGroup.LOW_CONDITIONING,
-    "f12": FunctionGroup.HIGH_CONDITIONING_UNIMODAL,
-    "f15": FunctionGroup.MULTIMODAL_ADEQUATE_STRUCTURE,
-    "f16": FunctionGroup.MULTIMODAL_ADEQUATE_STRUCTURE,
-    "f21": FunctionGroup.MULTIMODAL_WEAK_STRUCTURE,
-    "f23": FunctionGroup.MULTIMODAL_WEAK_STRUCTURE,
-    "f24": FunctionGroup.MULTIMODAL_WEAK_STRUCTURE,
-}
-
-
-def group_of(function_id: str) -> FunctionGroup:
-    """Structural group of an implemented function id."""
-    try:
-        return _GROUPS[function_id]
-    except KeyError:
-        raise ValueError(f"unknown function id {function_id!r}; implemented: {', '.join(FUNCTION_IDS)}") from None
 
 
 def bbob_domain(dim: int) -> BoxDomain:
@@ -107,7 +78,7 @@ class BenchInstance:
 
 def make_instance(function_id: str, dim: int, instance_seed: int) -> BenchInstance:
     """Draw a deterministic instance of `function_id` in dimension `dim`."""
-    if function_id not in _GROUPS:
+    if function_id not in FUNCTION_IDS:
         raise ValueError(f"unknown function id {function_id!r}; implemented: {', '.join(FUNCTION_IDS)}")
     if dim < 2:
         raise ValueError("dim must be >= 2")

@@ -8,20 +8,16 @@ from pathlib import Path
 
 from .benchfn import FUNCTION_IDS
 from .runner import (
-    CURVE_COLUMNS,
-    FINAL_COLUMNS,
     CellFailure,
     ExperimentConfig,
     TrialTrajectory,
-    _schedule_order,
-    _function_order,
-    _write_csv,
     aggregate,
     read_aggregate,
     read_records,
     run_grid,
     write_aggregate,
     write_records,
+    write_report,
 )
 from .schedule import SCHEDULE_NAMES
 
@@ -112,10 +108,14 @@ def _cmd_aggregate(args) -> int:
         print(f"error: no trajectory files (*.jsonl) in {args.in_dir}", file=sys.stderr)
         return 1
     trajectories: list[TrialTrajectory] = []
-    for path in files:
-        for record in read_records(path):
-            if isinstance(record, TrialTrajectory):
-                trajectories.append(record)
+    try:
+        for path in files:
+            for record in read_records(path):
+                if isinstance(record, TrialTrajectory):
+                    trajectories.append(record)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if not trajectories:
         print("error: no successful trajectories to aggregate", file=sys.stderr)
         return 1
@@ -141,37 +141,7 @@ def _cmd_report(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    args.out.mkdir(parents=True, exist_ok=True)
-
-    curves.sort(key=lambda c: (_function_order(c.function_id), _schedule_order(c.schedule_name), c.step))
-    finals.sort(key=lambda f: (_function_order(f.function_id), _schedule_order(f.schedule_name), f.seed))
-    functions = sorted({c.function_id for c in curves}, key=_function_order)
-
-    for fid in functions:
-        _write_csv(
-            args.out / f"curve_{fid}.csv",
-            CURVE_COLUMNS,
-            [
-                (c.function_id, c.schedule_name, c.step, c.mean, c.ci_halfwidth)
-                for c in curves
-                if c.function_id == fid
-            ],
-        )
-        _write_csv(
-            args.out / f"violin_{fid}.csv",
-            FINAL_COLUMNS,
-            [(f.function_id, f.schedule_name, f.seed, f.value) for f in finals if f.function_id == fid],
-        )
-
-    # Cross-function average: unweighted mean of the normalized curves.
-    by_key: dict[tuple[str, int], list[float]] = {}
-    for c in curves:
-        by_key.setdefault((c.schedule_name, c.step), []).append(c.mean)
-    rows = [
-        (sched, step, sum(vals) / len(vals))
-        for (sched, step), vals in sorted(by_key.items(), key=lambda kv: (_schedule_order(kv[0][0]), kv[0][1]))
-    ]
-    _write_csv(args.out / "average_curve.csv", ("schedule", "step", "mean_norm_log_regret"), rows)
+    functions = write_report(curves, finals, args.out)
     print(f"wrote {len(functions)} curve/violin file pairs and average_curve.csv to {args.out}")
     return 0
 

@@ -23,12 +23,9 @@ __all__ = [
     "GpFitError",
     "KernelParams",
     "GpModel",
-    "Posterior",
-    "kernel_matern52",
     "log_marginal_likelihood",
     "fit",
     "build_model",
-    "predict",
     "predict_batch",
 ]
 
@@ -123,40 +120,8 @@ class GpModel:
     alpha: np.ndarray
 
     @property
-    def n_train(self) -> int:
-        return self.train_x.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.train_x.shape[1]
-
-
-@dataclass(frozen=True)
-class Posterior:
-    """Predictive normal at one point, in original output units."""
-
-    mean: float
-    std: float
-
-    def __post_init__(self) -> None:
-        if not (self.std >= 0.0):
-            raise ValueError(f"std must be >= 0, got {self.std}")
-
-
-def kernel_matern52(a: np.ndarray, b: np.ndarray, params: KernelParams) -> float:
-    """Matern 5/2 covariance between two points in the unit cube.
-
-    k(a, b) = sv * (1 + sqrt(5) r + 5 r^2 / 3) * exp(-sqrt(5) r) with r the
-    lengthscale-weighted Euclidean distance.
-    """
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.size != params.dim or b.size != params.dim:
-        raise ValueError(f"points of dim {a.size}/{b.size} do not match {params.dim} lengthscales")
-    scaled = (a - b) / params.lengthscales
-    sq = float(scaled @ scaled)
-    r = math.sqrt(sq)
-    return params.signal_variance * (1.0 + _SQRT5 * r + (5.0 / 3.0) * sq) * math.exp(-_SQRT5 * r)
 
 
 def _sq_diffs(x: np.ndarray) -> np.ndarray:
@@ -168,19 +133,19 @@ def _sq_diffs(x: np.ndarray) -> np.ndarray:
     return (diff * diff).reshape(-1, x.shape[1])
 
 
-def _matern52_from_sq(sq: np.ndarray, signal_variance: float) -> np.ndarray:
-    r = np.sqrt(sq)
-    return signal_variance * (1.0 + _SQRT5 * r + (5.0 / 3.0) * sq) * np.exp(-_SQRT5 * r)
-
-
 def _cross_kernel(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Kernel matrix between row sets a (m, d) and b (n, d)."""
+    """Matern 5/2 kernel matrix between row sets a (m, d) and b (n, d).
+
+    k(a, b) = sv * (1 + sqrt(5) r + 5 r^2 / 3) * exp(-sqrt(5) r) with r the
+    lengthscale-weighted Euclidean distance.
+    """
     ls = params.lengthscales
     asq = a / ls
     bsq = b / ls
     sq = np.sum(asq * asq, axis=1)[:, None] + np.sum(bsq * bsq, axis=1)[None, :] - 2.0 * asq @ bsq.T
     np.maximum(sq, 0.0, out=sq)
-    return _matern52_from_sq(sq, params.signal_variance)
+    r = np.sqrt(sq)
+    return params.signal_variance * (1.0 + _SQRT5 * r + (5.0 / 3.0) * sq) * np.exp(-_SQRT5 * r)
 
 
 def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
@@ -377,8 +342,15 @@ def fit(
     return build_model(x, y, KernelParams.from_vector(best_theta))
 
 
-def _posterior_arrays(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means and stds (original units) at unit-cube rows x, shape (m, d)."""
+def predict_batch(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predictive means and stds at unit-cube rows x, shape (m, d).
+
+    Both are de-standardized to the original output units; the stds include
+    the learned observation noise.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != model.dim:
+        raise ValueError(f"expected an (m, {model.dim}) matrix, got shape {x.shape}")
     k_star = _cross_kernel(x, model.train_x, model.params)
     mean_s = k_star @ model.alpha
     v = solve_triangular(model.chol, k_star.T, lower=True, check_finite=False)
@@ -388,20 +360,3 @@ def _posterior_arrays(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.nda
     means = model.y_mean + model.y_std * mean_s
     stds = model.y_std * np.sqrt(var_s)
     return means, stds
-
-
-def predict_batch(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and stds at a batch of unit-cube points."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != model.dim:
-        raise ValueError(f"expected an (m, {model.dim}) matrix, got shape {x.shape}")
-    return _posterior_arrays(model, x)
-
-
-def predict(model: GpModel, x: np.ndarray) -> Posterior:
-    """Posterior at one unit-cube point, de-standardized, noise included."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != model.dim:
-        raise ValueError(f"point of dim {x.size} does not match model dim {model.dim}")
-    means, stds = _posterior_arrays(model, x[None, :])
-    return Posterior(mean=float(means[0]), std=float(stds[0]))

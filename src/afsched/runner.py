@@ -12,6 +12,7 @@ output is sorted canonically and is byte-identical for any worker count.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -19,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acquisition import AcquisitionKind
-from .afopt import DesignSpec, initial_design, maximize_af
+from .afopt import initial_design, maximize_af
 from .benchfn import FUNCTION_IDS, bbob_domain, evaluate, evaluate_many, make_instance
 from .gp import GpFitError, fit
 from .rng import substream
-from .schedule import SCHEDULE_NAMES, from_name, kind_at
+from .schedule import SCHEDULE_NAMES, kind_at
 
 __all__ = [
     "REGRET_CLAMP",
@@ -31,6 +32,7 @@ __all__ = [
     "StepRecord",
     "TrialTrajectory",
     "CellFailure",
+    "TrialError",
     "AggregateReport",
     "CurvePoint",
     "FinalPoint",
@@ -42,6 +44,7 @@ __all__ = [
     "read_records",
     "write_aggregate",
     "read_aggregate",
+    "write_report",
 ]
 
 REGRET_CLAMP = 1e-12
@@ -88,7 +91,8 @@ class ExperimentConfig:
             if fid not in FUNCTION_IDS:
                 raise ValueError(f"unknown function id {fid!r}; implemented: {', '.join(FUNCTION_IDS)}")
         for name in self.schedules:
-            from_name(name, self.bo_evals)  # raises on unknown names
+            if name not in SCHEDULE_NAMES:
+                raise ValueError(f"unknown schedule {name!r}; valid schedules: {'|'.join(SCHEDULE_NAMES)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,11 +144,10 @@ class CellFailure:
 
 def run_trial(function_id: str, schedule_name: str, seed: int, config: ExperimentConfig) -> TrialTrajectory:
     """Run one cell; raises TrialError naming the step if a surrogate fit fails."""
-    spec = from_name(schedule_name, config.bo_evals)
     inst = make_instance(function_id, config.dim, seed)
     domain = bbob_domain(config.dim)
 
-    doe_x = initial_design(DesignSpec(config.doe_size), domain, substream(seed, "doe"))
+    doe_x = initial_design(config.doe_size, domain, substream(seed, "doe"))
     doe_y = evaluate_many(inst, doe_x)
 
     xs_unit = [domain.to_unit(row) for row in doe_x]
@@ -153,6 +156,7 @@ def run_trial(function_id: str, schedule_name: str, seed: int, config: Experimen
 
     steps: list[StepRecord] = []
     for t in range(1, config.bo_evals + 1):
+        af = kind_at(schedule_name, t, config.bo_evals, seed)  # raises on an unknown name before any fit
         try:
             model = fit(
                 np.asarray(xs_unit),
@@ -162,7 +166,6 @@ def run_trial(function_id: str, schedule_name: str, seed: int, config: Experimen
             )
         except GpFitError as exc:
             raise TrialError(function_id, schedule_name, seed, t, str(exc)) from exc
-        af = kind_at(spec, t, seed)
         x_next = maximize_af(af, model, incumbent, domain, substream(seed, function_id, "af-candidates", t))
         y_next = evaluate(inst, x_next)
         incumbent = min(incumbent, y_next)
@@ -222,21 +225,14 @@ def run_grid(
         for sched in config.schedules
         for seed in config.seeds
     ]
-    if workers <= 1:
-        results = []
-        for cell in cells:
-            result = _run_cell(cell)
+    results = []
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        mapper = map if pool is None else pool.map
+        for result in mapper(_run_cell, cells):
             results.append(result)
             if progress is not None:
                 progress(result)
-        return results
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = []
-        for result in pool.map(_run_cell, cells):
-            results.append(result)
-            if progress is not None:
-                progress(result)
-        return results
+    return results
 
 
 def log_regret(trajectory: TrialTrajectory, clamp: float = REGRET_CLAMP) -> np.ndarray:
@@ -424,12 +420,19 @@ def write_records(records, path) -> None:
 
 
 def read_records(path) -> list[TrialTrajectory | CellFailure]:
+    """Records of a write_records file; a malformed line raises ValueError naming path:line."""
     records = []
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 records.append(_record_from_json(json.loads(line)))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (ValueError, TypeError, IndexError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return records
 
 
@@ -479,7 +482,45 @@ def _read_csv(path, expected_header):
         header = tuple(handle.readline().strip().split(","))
         if header != tuple(expected_header):
             raise ValueError(f"{path}: expected columns {expected_header}, found {header}")
-        for line in handle:
+        for lineno, line in enumerate(handle, start=2):
             line = line.strip()
             if line:
-                yield line.split(",")
+                fields = line.split(",")
+                if len(fields) != len(expected_header):
+                    raise ValueError(f"{path}:{lineno}: expected {len(expected_header)} fields, found {len(fields)}")
+                yield fields
+
+
+def write_report(curves: list[CurvePoint], finals: list[FinalPoint], out_dir) -> list[str]:
+    """Write plot data under out_dir; returns the function ids in table order.
+
+    Per function, curve_<id>.csv and violin_<id>.csv; across functions,
+    average_curve.csv, the unweighted mean of the normalized curves. Rows
+    follow the canonical function and schedule order.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    curves = sorted(curves, key=lambda c: (_function_order(c.function_id), _schedule_order(c.schedule_name), c.step))
+    finals = sorted(finals, key=lambda f: (_function_order(f.function_id), _schedule_order(f.schedule_name), f.seed))
+    functions = sorted({c.function_id for c in curves}, key=_function_order)
+
+    for fid in functions:
+        _write_csv(
+            out_dir / f"curve_{fid}.csv",
+            CURVE_COLUMNS,
+            [(c.function_id, c.schedule_name, c.step, c.mean, c.ci_halfwidth) for c in curves if c.function_id == fid],
+        )
+        _write_csv(
+            out_dir / f"violin_{fid}.csv",
+            FINAL_COLUMNS,
+            [(f.function_id, f.schedule_name, f.seed, f.value) for f in finals if f.function_id == fid],
+        )
+
+    by_key: dict[tuple[str, int], list[float]] = {}
+    for c in curves:
+        by_key.setdefault((c.schedule_name, c.step), []).append(c.mean)
+    rows = [
+        (sched, step, sum(vals) / len(vals))
+        for (sched, step), vals in sorted(by_key.items(), key=lambda kv: (_schedule_order(kv[0][0]), kv[0][1]))
+    ]
+    _write_csv(out_dir / "average_curve.csv", ("schedule", "step", "mean_norm_log_regret"), rows)
+    return functions

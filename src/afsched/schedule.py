@@ -2,107 +2,40 @@
 
 Seven schedules: the two statics (always EI, always PI), two alternating
 baselines (fair random coin, strict round robin starting with EI), and three
-single-switch schedules that run EI for the first floor(tau * T) steps and PI
-for the rest, tau in {0.25, 0.5, 0.75}.
+single-switch schedules `eeNN` that run EI for the first floor(NN% of T)
+steps and PI for the rest.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from enum import Enum
-
 from .acquisition import AcquisitionKind
 from .rng import substream
 
-__all__ = [
-    "ScheduleVariant",
-    "ScheduleSpec",
-    "SCHEDULE_NAMES",
-    "from_name",
-    "kind_at",
-    "full_trace",
-]
+__all__ = ["SCHEDULE_NAMES", "kind_at"]
 
 # Canonical ordering used in configuration and output files.
 SCHEDULE_NAMES = ("ei", "pi", "random", "round_robin", "ee25", "ee50", "ee75")
 
 
-class ScheduleVariant(Enum):
-    STATIC_EI = "ei"
-    STATIC_PI = "pi"
-    RANDOM = "random"
-    ROUND_ROBIN = "round_robin"
-    EXPLORE_EXPLOIT = "ee"
+def kind_at(name: str, step: int, total_bo_evals: int, seed: int) -> AcquisitionKind:
+    """Acquisition function schedule `name` uses at 1-based `step` of 1..total_bo_evals.
 
-
-@dataclass(frozen=True)
-class ScheduleSpec:
-    """Which acquisition function is active at each 1-based step in 1..T."""
-
-    variant: ScheduleVariant
-    total_bo_evals: int
-    tau: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.total_bo_evals < 1:
-            raise ValueError("total_bo_evals must be >= 1")
-        if self.variant is ScheduleVariant.EXPLORE_EXPLOIT:
-            if self.tau is None or not (0.0 < self.tau < 1.0):
-                raise ValueError("explore-exploit schedules need tau in (0, 1)")
-        elif self.tau is not None:
-            raise ValueError(f"{self.variant.value} does not take tau")
-
-    @property
-    def switch_step(self) -> int:
-        """Last EI step of an explore-exploit schedule: floor(tau * T)."""
-        if self.variant is not ScheduleVariant.EXPLORE_EXPLOIT:
-            raise ValueError("switch_step is only defined for explore-exploit schedules")
-        return int(math.floor(self.tau * self.total_bo_evals))
-
-    @property
-    def name(self) -> str:
-        if self.variant is ScheduleVariant.EXPLORE_EXPLOIT:
-            return f"ee{round(self.tau * 100):d}"
-        return self.variant.value
-
-
-def from_name(name: str, total_bo_evals: int) -> ScheduleSpec:
-    """Build a spec from its wire name (`ei`, `pi`, `random`, `round_robin`, `ee25`, `ee50`, `ee75`)."""
-    if name == "ei":
-        return ScheduleSpec(ScheduleVariant.STATIC_EI, total_bo_evals)
-    if name == "pi":
-        return ScheduleSpec(ScheduleVariant.STATIC_PI, total_bo_evals)
-    if name == "random":
-        return ScheduleSpec(ScheduleVariant.RANDOM, total_bo_evals)
-    if name == "round_robin":
-        return ScheduleSpec(ScheduleVariant.ROUND_ROBIN, total_bo_evals)
-    if name in ("ee25", "ee50", "ee75"):
-        return ScheduleSpec(ScheduleVariant.EXPLORE_EXPLOIT, total_bo_evals, tau=int(name[2:]) / 100.0)
-    raise ValueError(f"unknown schedule {name!r}; valid schedules: {'|'.join(SCHEDULE_NAMES)}")
-
-
-def kind_at(spec: ScheduleSpec, step: int, seed: int) -> AcquisitionKind:
-    """Acquisition function used at 1-based `step`.
-
-    Pure in (spec, step, seed): the random schedule hashes (seed, step) into a
+    Pure in its arguments: the random schedule hashes (seed, step) into a
     dedicated coin substream, so repeated calls agree and other consumers of
     the seed are never perturbed.
     """
-    if not 1 <= step <= spec.total_bo_evals:
-        raise ValueError(f"step {step} outside 1..{spec.total_bo_evals}")
-    if spec.variant is ScheduleVariant.STATIC_EI:
+    if not 1 <= step <= total_bo_evals:
+        raise ValueError(f"step {step} outside 1..{total_bo_evals}")
+    if name == "ei":
         return AcquisitionKind.EI
-    if spec.variant is ScheduleVariant.STATIC_PI:
+    if name == "pi":
         return AcquisitionKind.PI
-    if spec.variant is ScheduleVariant.ROUND_ROBIN:
+    if name == "round_robin":
         return AcquisitionKind.EI if step % 2 == 1 else AcquisitionKind.PI
-    if spec.variant is ScheduleVariant.RANDOM:
+    if name == "random":
         coin = substream(seed, "schedule-coin", step)
         return AcquisitionKind.EI if coin.random() < 0.5 else AcquisitionKind.PI
-    return AcquisitionKind.EI if step <= spec.switch_step else AcquisitionKind.PI
-
-
-def full_trace(spec: ScheduleSpec, seed: int) -> list[AcquisitionKind]:
-    """Materialize kind_at for every step 1..T."""
-    return [kind_at(spec, step, seed) for step in range(1, spec.total_bo_evals + 1)]
+    if name in ("ee25", "ee50", "ee75"):
+        # Integer form of step <= floor(tau * T); exact for every T.
+        return AcquisitionKind.EI if step <= total_bo_evals * int(name[2:]) // 100 else AcquisitionKind.PI
+    raise ValueError(f"unknown schedule {name!r}; valid schedules: {'|'.join(SCHEDULE_NAMES)}")

@@ -13,14 +13,15 @@ import time
 import numpy as np
 from scipy.stats import wilcoxon
 
-from afsched.acquisition import AcquisitionKind, ImprovementContext, ei, pi
+from afsched.acquisition import AcquisitionKind, scores
 from afsched.benchfn import FUNCTION_IDS, evaluate, evaluate_many, make_instance
 from afsched.cli import main
-from afsched.gp import KernelParams, build_model, log_marginal_likelihood, predict
+from afsched.gp import KernelParams, build_model, log_marginal_likelihood, predict_batch
 from afsched.rng import substream
 from afsched.runner import ExperimentConfig, aggregate, log_regret, run_grid, run_trial
-from afsched.schedule import from_name, full_trace
+from test_acquisition import ei, pi
 from test_benchfn import _OPT_TOL, grid_minimum
+from test_schedule import trace
 
 
 def _check(cid: str, ok: bool, detail: str) -> None:
@@ -41,12 +42,12 @@ def test_c1_acquisition_monte_carlo_oracle() -> None:
         improvement = np.maximum(-samples, 0.0)
         ei_mc = float(improvement.mean())
         ei_se = float(improvement.std(ddof=1) / 1000.0)
-        worst_ei = max(worst_ei, abs(ei(ImprovementContext(0.0, delta, sigma)) - ei_mc) / ei_se)
+        worst_ei = max(worst_ei, abs(ei(delta, sigma) - ei_mc) / ei_se)
 
         hits = (samples < 0.0).astype(float)
         pi_mc = float(hits.mean())
         pi_se = float(hits.std(ddof=1) / 1000.0)
-        worst_pi = max(worst_pi, abs(pi(ImprovementContext(0.0, delta, sigma)) - pi_mc) / pi_se)
+        worst_pi = max(worst_pi, abs(pi(delta, sigma) - pi_mc) / pi_se)
     elapsed = time.time() - start
     _check(
         "C1",
@@ -57,7 +58,8 @@ def test_c1_acquisition_monte_carlo_oracle() -> None:
 
 
 def test_c2_ei_zero_sigma_branch() -> None:
-    values = [ei(ImprovementContext(0.0, delta, 0.0)) for delta in (-4.0, -1e-9, 0.0, 1e-9, 4.0)]
+    deltas = np.array([-4.0, -1e-9, 0.0, 1e-9, 4.0])
+    values = scores(AcquisitionKind.EI, -deltas, np.zeros(5), 0.0).tolist()
     _check("C2", all(v == 0.0 for v in values), f"EI at sigma=0 returned {values} (exact zeros required)")
 
 
@@ -97,8 +99,8 @@ def test_c3_gp_against_dense_solve_and_finite_differences() -> None:
                 k_star @ np.linalg.solve(k_noisy, k_star)
             )
             var_ref = max(var_ref, 0.0) * model.y_std**2
-            post = predict(model, q)
-            worst_post = max(worst_post, abs(post.mean - mean_ref), abs(post.std**2 - var_ref))
+            means, stds = predict_batch(model, q[None, :])
+            worst_post = max(worst_post, abs(means[0] - mean_ref), abs(stds[0] ** 2 - var_ref))
 
         _, grad = log_marginal_likelihood(params, x, y_s)
         theta = params.to_vector()
@@ -124,15 +126,15 @@ def test_c4_schedule_exactness() -> None:
     ok = True
     details = []
     for name, n_ei in (("ee25", 25), ("ee50", 50), ("ee75", 75)):
-        trace = full_trace(from_name(name, 100), seed=0)
-        prefix_ei = trace[:n_ei].count(AcquisitionKind.EI) == n_ei
-        suffix_pi = trace[n_ei:].count(AcquisitionKind.PI) == 100 - n_ei
+        kinds = trace(name, 100, seed=0)
+        prefix_ei = kinds[:n_ei].count(AcquisitionKind.EI) == n_ei
+        suffix_pi = kinds[n_ei:].count(AcquisitionKind.PI) == 100 - n_ei
         ok &= prefix_ei and suffix_pi
-        details.append(f"{name}={trace.count(AcquisitionKind.EI)}xEI-then-PI")
-    rr = full_trace(from_name("round_robin", 100), seed=0)
+        details.append(f"{name}={kinds.count(AcquisitionKind.EI)}xEI-then-PI")
+    rr = trace("round_robin", 100, seed=0)
     rr_ok = all(k is (AcquisitionKind.EI if t % 2 == 0 else AcquisitionKind.PI) for t, k in enumerate(rr))
     ok &= rr_ok
-    frac = full_trace(from_name("random", 10_000), seed=0).count(AcquisitionKind.EI) / 10_000
+    frac = trace("random", 10_000, seed=0).count(AcquisitionKind.EI) / 10_000
     ok &= 0.48 <= frac <= 0.52
     _check(
         "C4",

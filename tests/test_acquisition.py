@@ -5,22 +5,25 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import norm
 
-from afsched.acquisition import (
-    AcquisitionKind,
-    ImprovementContext,
-    ei,
-    evaluate,
-    pi,
-    scores,
-    std_normal_cdf,
-    std_normal_pdf,
-)
-from afsched.gp import Posterior
+from afsched.acquisition import AcquisitionKind, scores, std_normal_cdf
+
+EI = AcquisitionKind.EI
+PI = AcquisitionKind.PI
 
 
-def _ctx(delta: float, sigma: float) -> ImprovementContext:
-    return ImprovementContext(y_min=0.0, delta=delta, sigma=sigma)
+def _score(kind: AcquisitionKind, delta: float, sigma: float) -> float:
+    """One acquisition value at improvement margin delta: y_min = 0 and mean = -delta."""
+    return float(scores(kind, np.array([-delta]), np.array([sigma]), 0.0)[0])
+
+
+def ei(delta: float, sigma: float) -> float:
+    return _score(EI, delta, sigma)
+
+
+def pi(delta: float, sigma: float) -> float:
+    return _score(PI, delta, sigma)
 
 
 def test_cdf_at_zero_is_half() -> None:
@@ -48,7 +51,7 @@ def test_cdf_reflection_identity() -> None:
 
 
 def test_pi_symmetric_case() -> None:
-    assert pi(_ctx(delta=0.0, sigma=1.0)) == 0.5
+    assert pi(delta=0.0, sigma=1.0) == 0.5
 
 
 def test_pi_matches_monte_carlo_tail_probability() -> None:
@@ -58,23 +61,23 @@ def test_pi_matches_monte_carlo_tail_probability() -> None:
         # With y_min = 0 the improvement margin delta fixes mu = -delta.
         samples = rng.normal(-delta, sigma, size=10_000_000)
         estimate = float(np.mean(samples < 0.0))
-        assert abs(pi(_ctx(delta, sigma)) - estimate) < tol
+        assert abs(pi(delta, sigma) - estimate) < tol
 
 
 def test_pi_zero_sigma_limit_convention() -> None:
-    assert pi(_ctx(delta=2.0, sigma=0.0)) == 1.0
-    assert pi(_ctx(delta=-2.0, sigma=0.0)) == 0.0
-    assert pi(_ctx(delta=0.0, sigma=0.0)) == 0.0
+    assert pi(delta=2.0, sigma=0.0) == 1.0
+    assert pi(delta=-2.0, sigma=0.0) == 0.0
+    assert pi(delta=0.0, sigma=0.0) == 0.0
 
 
 def test_ei_zero_sigma_branch_is_exactly_zero() -> None:
     for delta in (-5.0, -0.1, 0.0, 0.1, 5.0):
-        assert ei(_ctx(delta=delta, sigma=0.0)) == 0.0
+        assert ei(delta=delta, sigma=0.0) == 0.0
 
 
 def test_ei_at_zero_margin_is_sigma_times_density_peak() -> None:
     # delta = 0 leaves only sigma * pdf(0) = 1 / sqrt(2 pi).
-    assert abs(ei(_ctx(delta=0.0, sigma=1.0)) - 0.3989422804014327) < 1e-12
+    assert abs(ei(delta=0.0, sigma=1.0) - 0.3989422804014327) < 1e-12
 
 
 def test_ei_matches_monte_carlo_expected_improvement() -> None:
@@ -82,21 +85,23 @@ def test_ei_matches_monte_carlo_expected_improvement() -> None:
     rng = np.random.default_rng(77)
     samples = rng.normal(-1.0, 1.0, size=10_000_000)
     estimate = float(np.mean(np.maximum(-samples, 0.0)))
-    value = ei(_ctx(delta=1.0, sigma=1.0))
+    value = ei(delta=1.0, sigma=1.0)
     assert abs(value - estimate) < 1e-3
     assert abs(value - 1.0833154705876863) < 1e-5
 
 
 def test_evaluate_dispatches_and_respects_zero_sigma() -> None:
-    assert evaluate(AcquisitionKind.EI, Posterior(mean=1.0, std=0.0), y_min=5.0) == 0.0
-    assert evaluate(AcquisitionKind.PI, Posterior(mean=3.0, std=0.7), y_min=3.0) == 0.5
+    assert scores(EI, np.array([1.0]), np.array([0.0]), y_min=5.0)[0] == 0.0
+    assert scores(PI, np.array([3.0]), np.array([0.7]), y_min=3.0)[0] == 0.5
+    with pytest.raises(ValueError):
+        scores(EI, np.array([0.0]), np.array([-1e-9]), y_min=0.0)
 
 
 def test_ei_nonnegative_over_random_posteriors() -> None:
     rng = np.random.default_rng(5)
     for _ in range(1000):
-        posterior = Posterior(mean=rng.normal(scale=10.0), std=abs(rng.normal(scale=3.0)))
-        assert evaluate(AcquisitionKind.EI, posterior, y_min=rng.normal()) >= 0.0
+        mean, std = rng.normal(scale=10.0), abs(rng.normal(scale=3.0))
+        assert scores(EI, np.array([mean]), np.array([std]), y_min=rng.normal())[0] >= 0.0
 
 
 def test_pi_bounds_and_monotonicity_in_delta() -> None:
@@ -105,7 +110,7 @@ def test_pi_bounds_and_monotonicity_in_delta() -> None:
         sigma = rng.uniform(1e-3, 10.0)
         # Keep delta/sigma within a few units so Phi stays strictly inside (0, 1).
         d1, d2 = sorted(sigma * rng.uniform(-7.0, 7.0, size=2))
-        p1, p2 = pi(_ctx(d1, sigma)), pi(_ctx(d2, sigma))
+        p1, p2 = pi(d1, sigma), pi(d2, sigma)
         assert 0.0 < p1 < 1.0 and 0.0 < p2 < 1.0
         if d1 < d2:
             assert p1 < p2
@@ -117,11 +122,11 @@ def test_ei_monotone_in_sigma_and_delta() -> None:
         delta = rng.normal(scale=2.0)
         s1, s2 = sorted(rng.uniform(0.05, 5.0, size=2))
         if s1 < s2:
-            assert ei(_ctx(delta, s1)) < ei(_ctx(delta, s2))
+            assert ei(delta, s1) < ei(delta, s2)
         sigma = rng.uniform(0.05, 5.0)
         d1, d2 = sorted(rng.normal(scale=2.0, size=2))
         if d1 < d2:
-            assert ei(_ctx(d1, sigma)) < ei(_ctx(d2, sigma))
+            assert ei(d1, sigma) < ei(d2, sigma)
 
 
 def test_ei_dominates_delta_times_pi() -> None:
@@ -129,7 +134,7 @@ def test_ei_dominates_delta_times_pi() -> None:
     for _ in range(500):
         delta = rng.normal(scale=3.0)
         sigma = rng.uniform(1e-3, 5.0)
-        assert ei(_ctx(delta, sigma)) >= delta * pi(_ctx(delta, sigma))
+        assert ei(delta, sigma) >= delta * pi(delta, sigma)
 
 
 def test_scale_equivariance() -> None:
@@ -138,25 +143,23 @@ def test_scale_equivariance() -> None:
         delta = rng.normal()
         sigma = rng.uniform(0.1, 2.0)
         for c in (0.5, 2.0, 3.7):
-            assert abs(ei(_ctx(c * delta, c * sigma)) - c * ei(_ctx(delta, sigma))) < 1e-12
-            assert abs(pi(_ctx(c * delta, c * sigma)) - pi(_ctx(delta, sigma))) < 1e-12
+            assert abs(ei(c * delta, c * sigma) - c * ei(delta, sigma)) < 1e-12
+            assert abs(pi(c * delta, c * sigma) - pi(delta, sigma)) < 1e-12
 
 
-def test_scores_match_scalar_path() -> None:
+def test_scores_match_closed_form() -> None:
+    """Oracle: EI and PI written out with scipy's normal CDF and density."""
     rng = np.random.default_rng(15)
     means = rng.normal(size=50)
     stds = np.abs(rng.normal(size=50))
     stds[::7] = 0.0
-    y_min = 0.3
-    for kind in AcquisitionKind:
-        batch = scores(kind, means, stds, y_min)
-        for i in range(50):
-            single = evaluate(kind, Posterior(mean=float(means[i]), std=float(stds[i])), y_min)
-            assert batch[i] == pytest.approx(single, abs=1e-15)
-
-
-def test_context_validation() -> None:
-    with pytest.raises(ValueError):
-        ImprovementContext(y_min=0.0, delta=math.nan, sigma=1.0)
-    with pytest.raises(ValueError):
-        ImprovementContext(y_min=0.0, delta=0.0, sigma=-1e-9)
+    positive = stds > 0.0
+    for y_min in rng.normal(size=4):
+        delta = y_min - means
+        z = np.divide(delta, stds, out=np.zeros_like(delta), where=positive)
+        expected = {
+            EI: np.where(positive, delta * norm.cdf(z) + stds * norm.pdf(z), 0.0),
+            PI: np.where(positive, norm.cdf(z), (delta > 0.0).astype(float)),
+        }
+        for kind in AcquisitionKind:
+            np.testing.assert_allclose(scores(kind, means, stds, y_min), expected[kind], rtol=0.0, atol=1e-15)

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from afsched.acquisition import AcquisitionKind, scores
-from afsched.afopt import N_CANDIDATES, BoxDomain, DesignSpec, initial_design, maximize_af
+from afsched.afopt import N_CANDIDATES, BoxDomain, initial_design, maximize_af
 from afsched.gp import KernelParams, build_model, fit, predict_batch
 from afsched.rng import substream
+
+
+def _inside(domain: BoxDomain, x: np.ndarray) -> bool:
+    return bool(np.all(x >= domain.lower) and np.all(x <= domain.upper))
 
 
 def test_domain_validation_and_mapping() -> None:
@@ -14,30 +18,29 @@ def test_domain_validation_and_mapping() -> None:
     assert domain.dim == 2
     x = np.array([0.0, 1.0])
     assert np.allclose(domain.from_unit(domain.to_unit(x)), x)
-    assert domain.contains(x)
-    assert not domain.contains(np.array([6.0, 1.0]))
+    assert _inside(domain, x)
+    assert not _inside(domain, np.array([6.0, 1.0]))
     with pytest.raises(ValueError):
         BoxDomain(np.array([0.0]), np.array([0.0]))
 
 
 def test_design_spec_validation() -> None:
+    domain = BoxDomain(np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        DesignSpec(0)
-    with pytest.raises(ValueError):
-        DesignSpec(3, method="sobol")
+        initial_design(0, domain, substream(0, "doe"))
 
 
 def test_single_point_design_stays_in_domain() -> None:
     domain = BoxDomain(np.array([0.0]), np.array([1.0]))
-    points = initial_design(DesignSpec(1), domain, substream(0, "doe"))
+    points = initial_design(1, domain, substream(0, "doe"))
     assert points.shape == (1, 1)
     assert 0.0 <= points[0, 0] <= 1.0
 
 
 def test_design_is_deterministic() -> None:
     domain = BoxDomain(np.full(5, -5.0), np.full(5, 5.0))
-    a = initial_design(DesignSpec(15), domain, substream(7, "doe"))
-    b = initial_design(DesignSpec(15), domain, substream(7, "doe"))
+    a = initial_design(15, domain, substream(7, "doe"))
+    b = initial_design(15, domain, substream(7, "doe"))
     assert np.array_equal(a, b)
 
 
@@ -45,7 +48,7 @@ def test_design_is_a_latin_hypercube() -> None:
     # Each coordinate must occupy every one of the n equal-width strata once.
     n = 15
     domain = BoxDomain(np.full(5, -5.0), np.full(5, 5.0))
-    points = initial_design(DesignSpec(n), domain, substream(3, "doe"))
+    points = initial_design(n, domain, substream(3, "doe"))
     unit = domain.to_unit(points)
     for j in range(5):
         strata = np.floor(unit[:, j] * n).astype(int)
@@ -105,7 +108,7 @@ def test_result_is_deterministic_and_inside_domain() -> None:
     a = maximize_af(AcquisitionKind.EI, model, y_min, domain, substream(1, "af"))
     b = maximize_af(AcquisitionKind.EI, model, y_min, domain, substream(1, "af"))
     assert np.array_equal(a, b)
-    assert domain.contains(a)
+    assert _inside(domain, a)
 
 
 def test_maximizer_respects_wide_domains() -> None:
@@ -116,4 +119,4 @@ def test_maximizer_respects_wide_domains() -> None:
     domain = BoxDomain(np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
     for seed in range(3):
         point = maximize_af(AcquisitionKind.EI, model, float(ys.min()), domain, substream(seed, "af"))
-        assert domain.contains(point)
+        assert _inside(domain, point)

@@ -5,15 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from afsched.benchfn import (
-    FUNCTION_IDS,
-    FunctionGroup,
-    bbob_domain,
-    evaluate,
-    evaluate_many,
-    group_of,
-    make_instance,
-)
+from afsched.benchfn import FUNCTION_IDS, bbob_domain, evaluate, evaluate_many, make_instance
 
 # Optimum checks are exact by construction for most landscapes; the two
 # constructed multimodal ones get the looser documented tolerance.
@@ -150,16 +142,6 @@ def test_rastrigin_grid_minimum_is_tight() -> None:
     assert grid_minimum(inst) <= inst.f_opt + 1e-3
 
 
-def test_group_assignments() -> None:
-    assert group_of("f5") is FunctionGroup.SEPARABLE
-    assert group_of("f16") is FunctionGroup.MULTIMODAL_ADEQUATE_STRUCTURE
-    assert group_of("f23") is FunctionGroup.MULTIMODAL_WEAK_STRUCTURE
-    for fid in FUNCTION_IDS:
-        assert isinstance(group_of(fid), FunctionGroup)
-    with pytest.raises(ValueError):
-        group_of("f99")
-
-
 def test_out_of_domain_and_dim_mismatch() -> None:
     inst = make_instance("f1", 2, 0)
     with pytest.raises(ValueError):
@@ -173,5 +155,5 @@ def test_out_of_domain_and_dim_mismatch() -> None:
 def test_domain_helper() -> None:
     domain = bbob_domain(3)
     assert domain.dim == 3
-    assert domain.contains(np.zeros(3))
-    assert not domain.contains(np.array([0.0, 0.0, 5.01]))
+    assert np.array_equal(domain.lower, np.full(3, -5.0))
+    assert np.array_equal(domain.upper, np.full(3, 5.0))

@@ -211,3 +211,37 @@ def test_run_worker_invariance_bytes(tmp_path) -> None:
     assert main(args + ["--out", str(a), "--workers", "1"]) == 0
     assert main(args + ["--out", str(b), "--workers", "4"]) == 0
     assert (a / "trajectories.jsonl").read_bytes() == (b / "trajectories.jsonl").read_bytes()
+
+
+def test_report_rejects_short_csv_rows(tmp_path, capsys) -> None:
+    curves_header = "function,schedule,step,mean_norm_log_regret,ci_halfwidth\n"
+    finals_header = "function,schedule,seed,final_norm_log_regret\n"
+    cases = [
+        ("curves.csv", curves_header + "f1,ei,1,0.5\n", finals_header, "expected 5 fields, found 4"),
+        ("finals.csv", curves_header, finals_header + "f1,ei,0,0.5\nf1,ei\n", "expected 4 fields, found 2"),
+    ]
+    for i, (bad_file, curves, finals, message) in enumerate(cases):
+        agg = tmp_path / f"agg{i}"
+        agg.mkdir()
+        (agg / "curves.csv").write_text(curves)
+        (agg / "finals.csv").write_text(finals)
+        assert main(["report", "--agg", str(agg), "--out", str(tmp_path / "report")]) == 1
+        line = 2 if bad_file == "curves.csv" else 3
+        assert f"error: {agg / bad_file}:{line}: {message}" in capsys.readouterr().err
+
+
+def test_aggregate_rejects_malformed_jsonl_lines(tmp_path, capsys) -> None:
+    runs = tmp_path / "runs"
+    assert _run(runs) == 0
+    good = (runs / "trajectories.jsonl").read_text().splitlines()
+    cases = [
+        (good[0][: len(good[0]) // 2], "1: "),
+        (good[0] + "\n" + '{"function": "f1", "schedule": "ei", "seed": 0, "dim": 2}', "2: missing field"),
+    ]
+    capsys.readouterr()
+    for i, (text, message) in enumerate(cases):
+        bad = tmp_path / f"bad{i}"
+        bad.mkdir()
+        (bad / "t.jsonl").write_text(text + "\n")
+        assert main(["aggregate", "--in", str(bad), "--out", str(tmp_path / "agg")]) == 1
+        assert f"error: {bad / 't.jsonl'}:{message}" in capsys.readouterr().err

@@ -68,6 +68,15 @@ def test_config_validation() -> None:
             ExperimentConfig(dim=2, seeds=(0,), **{field: values})
 
 
+def test_run_trial_rejects_unknown_schedule_before_fitting(monkeypatch) -> None:
+    def fit(*args, **kwargs):
+        raise AssertionError("fit called for an unknown schedule")
+
+    monkeypatch.setattr(runner_mod, "fit", fit)
+    with pytest.raises(ValueError, match="unknown schedule 'ee30'"):
+        run_trial("f1", "ee30", 0, _config())
+
+
 def test_single_step_trial_shape_and_incumbent() -> None:
     cfg = _config(bo_evals=1, doe_size=2)
     traj = run_trial("f1", "ei", 0, cfg)

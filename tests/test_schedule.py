@@ -3,17 +3,15 @@ from __future__ import annotations
 import pytest
 
 from afsched.acquisition import AcquisitionKind
-from afsched.schedule import (
-    SCHEDULE_NAMES,
-    ScheduleSpec,
-    ScheduleVariant,
-    from_name,
-    full_trace,
-    kind_at,
-)
+from afsched.schedule import SCHEDULE_NAMES, kind_at
 
 EI = AcquisitionKind.EI
 PI = AcquisitionKind.PI
+
+
+def trace(name: str, total: int, seed: int) -> list[AcquisitionKind]:
+    """kind_at for every step 1..total."""
+    return [kind_at(name, step, total, seed) for step in range(1, total + 1)]
 
 
 def test_table_order_of_names() -> None:
@@ -21,40 +19,36 @@ def test_table_order_of_names() -> None:
 
 
 def test_statics() -> None:
-    assert full_trace(from_name("pi", 3), seed=0) == [PI, PI, PI]
-    assert full_trace(from_name("ei", 3), seed=0) == [EI, EI, EI]
+    assert trace("pi", 3, seed=0) == [PI, PI, PI]
+    assert trace("ei", 3, seed=0) == [EI, EI, EI]
 
 
 def test_round_robin_alternates_starting_with_ei() -> None:
-    spec = from_name("round_robin", 4)
-    assert full_trace(spec, seed=0) == [EI, PI, EI, PI]
+    assert trace("round_robin", 4, seed=0) == [EI, PI, EI, PI]
 
 
 def test_explore_exploit_switch_boundary() -> None:
-    spec = from_name("ee25", 100)
-    assert kind_at(spec, 25, seed=0) is EI
-    assert kind_at(spec, 26, seed=0) is PI
+    assert kind_at("ee25", 25, 100, seed=0) is EI
+    assert kind_at("ee25", 26, 100, seed=0) is PI
 
 
 def test_explore_exploit_tiny_budget_switches_immediately() -> None:
     # floor(0.5 * 1) = 0, so the single step already exploits.
-    spec = from_name("ee50", 1)
-    assert kind_at(spec, 1, seed=0) is PI
+    assert kind_at("ee50", 1, 1, seed=0) is PI
 
 
 def test_explore_exploit_counts_are_exact() -> None:
     for tau, name in ((0.25, "ee25"), (0.5, "ee50"), (0.75, "ee75")):
         for total in (1, 2, 3, 7, 40, 99, 100, 101):
-            trace = full_trace(from_name(name, total), seed=0)
-            assert trace.count(EI) == int(tau * total // 1)
-            assert trace.count(EI) == len([k for k in trace if k is EI])
+            kinds = trace(name, total, seed=0)
+            assert kinds.count(EI) == int(tau * total // 1)
+            assert kinds.count(EI) == len([k for k in kinds if k is EI])
 
 
 def test_explore_exploit_trace_is_monotone() -> None:
     for name in ("ee25", "ee50", "ee75"):
-        trace = full_trace(from_name(name, 37), seed=5)
         seen_pi = False
-        for kind in trace:
+        for kind in trace(name, 37, seed=5):
             if kind is PI:
                 seen_pi = True
             elif seen_pi:
@@ -62,51 +56,33 @@ def test_explore_exploit_trace_is_monotone() -> None:
 
 
 def test_ee75_of_100_is_75_then_25() -> None:
-    trace = full_trace(from_name("ee75", 100), seed=0)
-    assert trace[:75] == [EI] * 75
-    assert trace[75:] == [PI] * 25
+    kinds = trace("ee75", 100, seed=0)
+    assert kinds[:75] == [EI] * 75
+    assert kinds[75:] == [PI] * 25
 
 
 def test_random_is_pure_in_spec_step_seed() -> None:
-    spec = from_name("random", 50)
     for step in (1, 17, 50):
-        assert kind_at(spec, step, seed=99) is kind_at(spec, step, seed=99)
-    assert full_trace(spec, seed=99) == full_trace(spec, seed=99)
+        assert kind_at("random", step, 50, seed=99) is kind_at("random", step, 50, seed=99)
+    assert trace("random", 50, seed=99) == trace("random", 50, seed=99)
 
 
 def test_random_seeds_differ() -> None:
-    spec = from_name("random", 64)
-    assert full_trace(spec, seed=0) != full_trace(spec, seed=1)
+    assert trace("random", 64, seed=0) != trace("random", 64, seed=1)
 
 
 def test_random_coin_is_roughly_fair() -> None:
-    trace = full_trace(from_name("random", 10_000), seed=0)
-    frac = trace.count(EI) / 10_000
+    frac = trace("random", 10_000, seed=0).count(EI) / 10_000
     assert 0.48 <= frac <= 0.52
 
 
 def test_step_out_of_range() -> None:
-    spec = from_name("ei", 5)
     with pytest.raises(ValueError):
-        kind_at(spec, 0, seed=0)
+        kind_at("ei", 0, 5, seed=0)
     with pytest.raises(ValueError):
-        kind_at(spec, 6, seed=0)
+        kind_at("ei", 6, 5, seed=0)
 
 
 def test_unknown_name_lists_valid_ones() -> None:
     with pytest.raises(ValueError, match=r"ei\|pi\|random\|round_robin\|ee25\|ee50\|ee75"):
-        from_name("ee30", 10)
-
-
-def test_spec_validation() -> None:
-    with pytest.raises(ValueError):
-        ScheduleSpec(ScheduleVariant.EXPLORE_EXPLOIT, 10, tau=1.0)
-    with pytest.raises(ValueError):
-        ScheduleSpec(ScheduleVariant.STATIC_EI, 0)
-    with pytest.raises(ValueError):
-        ScheduleSpec(ScheduleVariant.STATIC_EI, 10, tau=0.5)
-
-
-def test_names_round_trip() -> None:
-    for name in SCHEDULE_NAMES:
-        assert from_name(name, 12).name == name
+        kind_at("ee30", 1, 10, seed=0)
