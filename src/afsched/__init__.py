@@ -6,8 +6,8 @@ harness that emits normalized log-regret statistics.
 """
 
 from .acquisition import AcquisitionKind, scores
-from .afopt import BoxDomain, initial_design, maximize_af
-from .benchfn import FUNCTION_IDS, BenchInstance, bbob_domain, make_instance
+from .afopt import initial_design, maximize_af
+from .benchfn import FUNCTION_IDS, BenchInstance, from_unit, make_instance, to_unit
 from .gp import GpFitError, GpModel, KernelParams, fit, predict_batch
 from .runner import (
     AggregateReport,

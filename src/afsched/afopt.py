@@ -1,20 +1,19 @@
 """Initial designs and inner-loop maximization of the acquisition function.
 
-The inner loop is gradient-free and deterministic given its seed: score a
-batch of uniform random candidates, then refine the best few with a shrinking
-coordinate pattern search, all in unit-cube coordinates.
+Both work in the unit cube [0, 1]^d; mapping to the search box of the
+benchmark landscapes is the caller's job. The inner loop is gradient-free and
+deterministic given its seed: score a batch of uniform random candidates, then
+refine the best few with a shrinking coordinate pattern search.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .acquisition import AcquisitionKind, scores
 from .gp import GpModel, predict_batch
 
-__all__ = ["BoxDomain", "initial_design", "maximize_af"]
+__all__ = ["initial_design", "maximize_af"]
 
 N_CANDIDATES = 1024
 N_REFINE_STARTS = 5
@@ -23,36 +22,8 @@ _STEP_STOP = 1e-4
 _MAX_SWEEPS = 500
 
 
-@dataclass(frozen=True, eq=False)
-class BoxDomain:
-    """Axis-aligned box, lower < upper componentwise."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self) -> None:
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-        if lo.ndim != 1 or lo.shape != hi.shape or lo.size < 1:
-            raise ValueError("lower and upper must be 1-d vectors of equal size")
-        if not np.all(lo < hi):
-            raise ValueError("need lower < upper componentwise")
-
-    @property
-    def dim(self) -> int:
-        return self.lower.size
-
-    def to_unit(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.lower) / (self.upper - self.lower)
-
-    def from_unit(self, u: np.ndarray) -> np.ndarray:
-        return self.lower + np.asarray(u, dtype=float) * (self.upper - self.lower)
-
-
-def initial_design(n_points: int, domain: BoxDomain, rng: np.random.Generator) -> np.ndarray:
-    """Latin hypercube sample of n_points points in the domain.
+def initial_design(n_points: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Latin hypercube sample of n_points points in the unit cube [0, 1]^dim.
 
     Each coordinate places exactly one point in each of n_points equal-width
     strata. The draw depends only on (rng seed, dim, n_points); callers that
@@ -61,30 +32,22 @@ def initial_design(n_points: int, domain: BoxDomain, rng: np.random.Generator) -
     """
     if n_points < 1:
         raise ValueError("n_points must be >= 1")
-    unit = np.empty((n_points, domain.dim))
-    for j in range(domain.dim):
+    unit = np.empty((n_points, dim))
+    for j in range(dim):
         unit[:, j] = (rng.permutation(n_points) + rng.random(n_points)) / n_points
-    return domain.from_unit(unit)
+    return unit
 
 
-def maximize_af(
-    kind: AcquisitionKind,
-    model: GpModel,
-    y_min: float,
-    domain: BoxDomain,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Approximate argmax of the acquisition function over the domain.
+def maximize_af(kind: AcquisitionKind, model: GpModel, y_min: float, rng: np.random.Generator) -> np.ndarray:
+    """Approximate argmax of the acquisition function over the unit cube.
 
     Two stages: score N_CANDIDATES uniform random points, then run a shrinking
-    coordinate pattern search (step 0.1 down to 1e-4 of each range) from the
-    top N_REFINE_STARTS candidates. Ties prefer the lowest candidate index.
-    The returned point is always inside the domain and never scores below the
-    best raw candidate.
+    coordinate pattern search (step 0.1 down to 1e-4) from the top
+    N_REFINE_STARTS candidates. Ties prefer the lowest candidate index. The
+    returned point is always inside [0, 1]^model.dim and never scores below
+    the best raw candidate.
     """
-    d = domain.dim
-    if model.dim != d:
-        raise ValueError(f"model dim {model.dim} does not match domain dim {d}")
+    d = model.dim
 
     def af(points: np.ndarray) -> np.ndarray:
         means, stds = predict_batch(model, points)
@@ -103,7 +66,7 @@ def maximize_af(
     for i in range(1, len(starts)):
         if vs[i] > vs[best]:
             best = i
-    return domain.from_unit(xs[best])
+    return xs[best]
 
 
 def _pattern_search(af, starts: np.ndarray, start_vals: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:

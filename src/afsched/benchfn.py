@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .afopt import BoxDomain
 from .rng import substream
 
 __all__ = [
@@ -36,7 +35,8 @@ __all__ = [
     "DOMAIN_UPPER",
     "FUNCTION_IDS",
     "BenchInstance",
-    "bbob_domain",
+    "to_unit",
+    "from_unit",
     "make_instance",
     "evaluate",
     "evaluate_many",
@@ -58,9 +58,14 @@ _KATSUURA_TERMS = 32
 _LUNACEK_MU1 = 2.5
 
 
-def bbob_domain(dim: int) -> BoxDomain:
-    """The standard [-5, 5]^d search box."""
-    return BoxDomain(np.full(dim, DOMAIN_LOWER), np.full(dim, DOMAIN_UPPER))
+def to_unit(x: np.ndarray) -> np.ndarray:
+    """Map points of the search box [-5, 5]^d to the unit cube [0, 1]^d."""
+    return (np.asarray(x, dtype=float) - DOMAIN_LOWER) / (DOMAIN_UPPER - DOMAIN_LOWER)
+
+
+def from_unit(u: np.ndarray) -> np.ndarray:
+    """Map points of the unit cube [0, 1]^d to the search box [-5, 5]^d."""
+    return DOMAIN_LOWER + np.asarray(u, dtype=float) * (DOMAIN_UPPER - DOMAIN_LOWER)
 
 
 @dataclass(frozen=True, eq=False)

@@ -138,10 +138,10 @@ def _cmd_aggregate(args) -> int:
 def _cmd_report(args) -> int:
     try:
         curves, finals = read_aggregate(args.agg)
+        functions = write_report(curves, finals, args.out)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    functions = write_report(curves, finals, args.out)
     print(f"wrote {len(functions)} curve/violin file pairs and average_curve.csv to {args.out}")
     return 0
 

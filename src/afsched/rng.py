@@ -12,20 +12,18 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["substream", "substream_seed"]
+__all__ = ["substream"]
 
 
-def substream_seed(*key: int | str) -> int:
-    """Hash a key tuple of ints/strings to a stable 128-bit seed."""
+def substream(*key: int | str) -> np.random.Generator:
+    """Fresh generator for the substream identified by `key`.
+
+    The key tuple of ints/strings is hashed to a stable 128-bit seed.
+    """
     h = hashlib.sha256()
     for part in key:
         if not isinstance(part, (int, str)):
             raise TypeError(f"substream key parts must be int or str, got {type(part)!r}")
         h.update(repr(part).encode("utf-8"))
         h.update(b"\x1f")
-    return int.from_bytes(h.digest()[:16], "little")
-
-
-def substream(*key: int | str) -> np.random.Generator:
-    """Fresh generator for the substream identified by `key`."""
-    return np.random.default_rng(substream_seed(*key))
+    return np.random.default_rng(int.from_bytes(h.digest()[:16], "little"))

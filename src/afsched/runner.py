@@ -7,7 +7,8 @@ the seed alone, so every schedule (and function) under one seed shares it;
 per-step substreams are keyed on (seed, function, step), so schedules that
 agree on a prefix of acquisition choices produce identical trajectories over
 that prefix. Grid cells are independent and may run in worker processes; the
-output is sorted canonically and is byte-identical for any worker count.
+output follows the config's function x schedule x seed order and is
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .acquisition import AcquisitionKind
 from .afopt import initial_design, maximize_af
-from .benchfn import FUNCTION_IDS, bbob_domain, evaluate, evaluate_many, make_instance
+from .benchfn import FUNCTION_IDS, evaluate, evaluate_many, from_unit, make_instance, to_unit
 from .gp import GpFitError, fit
 from .rng import substream
 from .schedule import SCHEDULE_NAMES, kind_at
@@ -145,12 +146,12 @@ class CellFailure:
 def run_trial(function_id: str, schedule_name: str, seed: int, config: ExperimentConfig) -> TrialTrajectory:
     """Run one cell; raises TrialError naming the step if a surrogate fit fails."""
     inst = make_instance(function_id, config.dim, seed)
-    domain = bbob_domain(config.dim)
 
-    doe_x = initial_design(config.doe_size, domain, substream(seed, "doe"))
+    doe_x = from_unit(initial_design(config.doe_size, config.dim, substream(seed, "doe")))
     doe_y = evaluate_many(inst, doe_x)
 
-    xs_unit = [domain.to_unit(row) for row in doe_x]
+    # The GP trains on the recorded points: to_unit(from_unit(u)) != u in the last bit.
+    xs_unit = list(to_unit(doe_x))
     ys = list(doe_y)
     incumbent = float(np.min(doe_y))
 
@@ -166,11 +167,11 @@ def run_trial(function_id: str, schedule_name: str, seed: int, config: Experimen
             )
         except GpFitError as exc:
             raise TrialError(function_id, schedule_name, seed, t, str(exc)) from exc
-        x_next = maximize_af(af, model, incumbent, domain, substream(seed, function_id, "af-candidates", t))
+        x_next = from_unit(maximize_af(af, model, incumbent, substream(seed, function_id, "af-candidates", t)))
         y_next = evaluate(inst, x_next)
         incumbent = min(incumbent, y_next)
         steps.append(StepRecord(step=t, af=af, x=x_next, y=y_next, incumbent=incumbent))
-        xs_unit.append(domain.to_unit(x_next))
+        xs_unit.append(to_unit(x_next))
         ys.append(y_next)
 
     return TrialTrajectory(
@@ -216,8 +217,8 @@ def run_grid(
     """Run the functions x schedules x seeds product.
 
     Failures become CellFailure records instead of aborting the grid. Results
-    come back in canonical (function, schedule, seed) order regardless of the
-    worker count.
+    follow the config's order, functions outermost and seeds innermost (so
+    functions=("f16", "f1") gives every f16 cell first), for any worker count.
     """
     cells = [
         (fid, sched, seed, config)
@@ -235,13 +236,13 @@ def run_grid(
     return results
 
 
-def log_regret(trajectory: TrialTrajectory, clamp: float = REGRET_CLAMP) -> np.ndarray:
+def log_regret(trajectory: TrialTrajectory) -> np.ndarray:
     """log10 of clamped incumbent regret at each surrogate-based step.
 
     The design phase is omitted; entry t covers the incumbent after step t+1.
     """
     regret = trajectory.incumbents - trajectory.f_opt
-    return np.log10(np.maximum(regret, clamp))
+    return np.log10(np.maximum(regret, REGRET_CLAMP))
 
 
 @dataclass(frozen=True)
@@ -271,18 +272,9 @@ class AggregateReport:
     finals: tuple[FinalPoint, ...]
 
 
-def _function_order(fid: str) -> tuple[int, str]:
-    try:
-        return (FUNCTION_IDS.index(fid), fid)
-    except ValueError:
-        return (len(FUNCTION_IDS), fid)
-
-
-def _schedule_order(name: str) -> tuple[int, str]:
-    try:
-        return (SCHEDULE_NAMES.index(name), name)
-    except ValueError:
-        return (len(SCHEDULE_NAMES), name)
+def _rank(value: str, order: tuple[str, ...]) -> tuple[int, str]:
+    """Sort key: position in `order`, with unlisted values after it by name."""
+    return (order.index(value) if value in order else len(order), value)
 
 
 def aggregate(trajectories: list[TrialTrajectory]) -> AggregateReport:
@@ -301,9 +293,10 @@ def aggregate(trajectories: list[TrialTrajectory]) -> AggregateReport:
             raise ValueError(f"duplicate cell {key}")
         by_cell[key] = log_regret(traj)
 
-    functions = sorted({fid for fid, _, _ in by_cell}, key=_function_order)
+    functions = sorted({fid for fid, _, _ in by_cell}, key=lambda f: _rank(f, FUNCTION_IDS))
     schedules_by_fn = {
-        fid: sorted({s for f, s, _ in by_cell if f == fid}, key=_schedule_order) for fid in functions
+        fid: sorted({s for f, s, _ in by_cell if f == fid}, key=lambda s: _rank(s, SCHEDULE_NAMES))
+        for fid in functions
     }
     seeds_by_pair = {
         (fid, sched): sorted(seed for f, s, seed in by_cell if (f, s) == (fid, sched))
@@ -468,16 +461,16 @@ def write_aggregate(report: AggregateReport, out_dir) -> None:
 
 
 def read_aggregate(agg_dir) -> tuple[list[CurvePoint], list[FinalPoint]]:
-    curves = []
-    for row in _read_csv(agg_dir / "curves.csv", CURVE_COLUMNS):
-        curves.append(CurvePoint(row[0], row[1], int(row[2]), float(row[3]), float(row[4])))
-    finals = []
-    for row in _read_csv(agg_dir / "finals.csv", FINAL_COLUMNS):
-        finals.append(FinalPoint(row[0], row[1], int(row[2]), float(row[3])))
+    """The tables of a write_aggregate directory; a malformed row raises ValueError naming path:line."""
+    curves = _read_csv(
+        agg_dir / "curves.csv", CURVE_COLUMNS, lambda r: CurvePoint(r[0], r[1], int(r[2]), float(r[3]), float(r[4]))
+    )
+    finals = _read_csv(agg_dir / "finals.csv", FINAL_COLUMNS, lambda r: FinalPoint(r[0], r[1], int(r[2]), float(r[3])))
     return curves, finals
 
 
-def _read_csv(path, expected_header):
+def _read_csv(path, expected_header, parse_row) -> list:
+    rows = []
     with open(path, "r", encoding="utf-8") as handle:
         header = tuple(handle.readline().strip().split(","))
         if header != tuple(expected_header):
@@ -488,7 +481,11 @@ def _read_csv(path, expected_header):
                 fields = line.split(",")
                 if len(fields) != len(expected_header):
                     raise ValueError(f"{path}:{lineno}: expected {len(expected_header)} fields, found {len(fields)}")
-                yield fields
+                try:
+                    rows.append(parse_row(fields))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return rows
 
 
 def write_report(curves: list[CurvePoint], finals: list[FinalPoint], out_dir) -> list[str]:
@@ -496,12 +493,22 @@ def write_report(curves: list[CurvePoint], finals: list[FinalPoint], out_dir) ->
 
     Per function, curve_<id>.csv and violin_<id>.csv; across functions,
     average_curve.csv, the unweighted mean of the normalized curves. Rows
-    follow the canonical function and schedule order.
+    follow the canonical function and schedule order. Raises ValueError,
+    before writing anything, if curves and finals name different functions.
     """
+    curve_fns = {c.function_id for c in curves}
+    mismatched = curve_fns ^ {f.function_id for f in finals}
+    if mismatched:
+        names = ", ".join(sorted(mismatched, key=lambda f: _rank(f, FUNCTION_IDS)))
+        raise ValueError(f"curves and finals name different functions; in only one of them: {names}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    curves = sorted(curves, key=lambda c: (_function_order(c.function_id), _schedule_order(c.schedule_name), c.step))
-    finals = sorted(finals, key=lambda f: (_function_order(f.function_id), _schedule_order(f.schedule_name), f.seed))
-    functions = sorted({c.function_id for c in curves}, key=_function_order)
+    curves = sorted(
+        curves, key=lambda c: (_rank(c.function_id, FUNCTION_IDS), _rank(c.schedule_name, SCHEDULE_NAMES), c.step)
+    )
+    finals = sorted(
+        finals, key=lambda f: (_rank(f.function_id, FUNCTION_IDS), _rank(f.schedule_name, SCHEDULE_NAMES), f.seed)
+    )
+    functions = sorted(curve_fns, key=lambda f: _rank(f, FUNCTION_IDS))
 
     for fid in functions:
         _write_csv(
@@ -520,7 +527,7 @@ def write_report(curves: list[CurvePoint], finals: list[FinalPoint], out_dir) ->
         by_key.setdefault((c.schedule_name, c.step), []).append(c.mean)
     rows = [
         (sched, step, sum(vals) / len(vals))
-        for (sched, step), vals in sorted(by_key.items(), key=lambda kv: (_schedule_order(kv[0][0]), kv[0][1]))
+        for (sched, step), vals in sorted(by_key.items(), key=lambda kv: (_rank(kv[0][0], SCHEDULE_NAMES), kv[0][1]))
     ]
     _write_csv(out_dir / "average_curve.csv", ("schedule", "step", "mean_norm_log_regret"), rows)
     return functions

@@ -4,52 +4,46 @@ import numpy as np
 import pytest
 
 from afsched.acquisition import AcquisitionKind, scores
-from afsched.afopt import N_CANDIDATES, BoxDomain, initial_design, maximize_af
+from afsched.afopt import N_CANDIDATES, initial_design, maximize_af
+from afsched.benchfn import DOMAIN_LOWER, DOMAIN_UPPER, FUNCTION_IDS, evaluate, from_unit, make_instance, to_unit
 from afsched.gp import KernelParams, build_model, fit, predict_batch
 from afsched.rng import substream
 
 
-def _inside(domain: BoxDomain, x: np.ndarray) -> bool:
-    return bool(np.all(x >= domain.lower) and np.all(x <= domain.upper))
-
-
 def test_domain_validation_and_mapping() -> None:
-    domain = BoxDomain(np.array([-5.0, 0.0]), np.array([5.0, 2.0]))
-    assert domain.dim == 2
+    # The search box is fixed at [-5, 5]^d: the unit-cube mapping round-trips
+    # and the landscapes refuse points outside the box.
     x = np.array([0.0, 1.0])
-    assert np.allclose(domain.from_unit(domain.to_unit(x)), x)
-    assert _inside(domain, x)
-    assert not _inside(domain, np.array([6.0, 1.0]))
+    assert np.allclose(from_unit(to_unit(x)), x)
+    assert np.all(to_unit(x) >= 0.0) and np.all(to_unit(x) <= 1.0)
+    assert not np.all(to_unit(np.array([6.0, 1.0])) <= 1.0)
+    instance = make_instance(FUNCTION_IDS[0], 2, 0)
+    evaluate(instance, x)
     with pytest.raises(ValueError):
-        BoxDomain(np.array([0.0]), np.array([0.0]))
+        evaluate(instance, np.array([6.0, 1.0]))
 
 
 def test_design_spec_validation() -> None:
-    domain = BoxDomain(np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError):
-        initial_design(0, domain, substream(0, "doe"))
+        initial_design(0, 1, substream(0, "doe"))
 
 
 def test_single_point_design_stays_in_domain() -> None:
-    domain = BoxDomain(np.array([0.0]), np.array([1.0]))
-    points = initial_design(1, domain, substream(0, "doe"))
+    points = initial_design(1, 1, substream(0, "doe"))
     assert points.shape == (1, 1)
     assert 0.0 <= points[0, 0] <= 1.0
 
 
 def test_design_is_deterministic() -> None:
-    domain = BoxDomain(np.full(5, -5.0), np.full(5, 5.0))
-    a = initial_design(15, domain, substream(7, "doe"))
-    b = initial_design(15, domain, substream(7, "doe"))
+    a = initial_design(15, 5, substream(7, "doe"))
+    b = initial_design(15, 5, substream(7, "doe"))
     assert np.array_equal(a, b)
 
 
 def test_design_is_a_latin_hypercube() -> None:
     # Each coordinate must occupy every one of the n equal-width strata once.
     n = 15
-    domain = BoxDomain(np.full(5, -5.0), np.full(5, 5.0))
-    points = initial_design(n, domain, substream(3, "doe"))
-    unit = domain.to_unit(points)
+    unit = initial_design(n, 5, substream(3, "doe"))
     for j in range(5):
         strata = np.floor(unit[:, j] * n).astype(int)
         assert sorted(strata) == list(range(n))
@@ -63,15 +57,14 @@ def _quadratic_model(rng_seed: int = 0):
 
 def test_refinement_never_loses_to_raw_candidates() -> None:
     model, y_min = _quadratic_model()
-    domain = BoxDomain(np.array([0.0]), np.array([1.0]))
     rng = substream(11, "af")
-    best = maximize_af(AcquisitionKind.EI, model, y_min, domain, rng)
+    best = maximize_af(AcquisitionKind.EI, model, y_min, rng)
 
     # Re-derive the candidate batch from the same substream.
     cands = substream(11, "af").random((N_CANDIDATES, 1))
     means, stds = predict_batch(model, cands)
     raw = scores(AcquisitionKind.EI, means, stds, y_min)
-    m_best, s_best = predict_batch(model, domain.to_unit(best)[None, :])
+    m_best, s_best = predict_batch(model, best[None, :])
     assert scores(AcquisitionKind.EI, m_best, s_best, y_min)[0] >= raw.max()
 
 
@@ -80,10 +73,9 @@ def test_flat_surface_returns_first_candidate() -> None:
     # everywhere, so the tie-break must return the first raw candidate.
     params = KernelParams(np.log([0.2]), 0.0, np.log(1e-6))
     model = build_model(np.array([[0.2], [0.8]]), np.array([1.0, 2.0]), params)
-    domain = BoxDomain(np.array([0.0]), np.array([1.0]))
-    best = maximize_af(AcquisitionKind.EI, model, y_min=-1e8, domain=domain, rng=substream(5, "af"))
+    best = maximize_af(AcquisitionKind.EI, model, y_min=-1e8, rng=substream(5, "af"))
     first = substream(5, "af").random((N_CANDIDATES, 1))[0]
-    assert np.array_equal(best, domain.from_unit(first))
+    assert np.array_equal(best, first)
 
 
 def test_one_dimensional_grid_oracle() -> None:
@@ -91,32 +83,35 @@ def test_one_dimensional_grid_oracle() -> None:
     ys = np.array([0.8, 0.1, 0.9])
     params = KernelParams(np.log([0.3]), 0.0, np.log(1e-4))
     model = build_model(xs, ys, params)
-    domain = BoxDomain(np.array([0.0]), np.array([1.0]))
-    best = maximize_af(AcquisitionKind.PI, model, float(ys.min()), domain, substream(21, "af"))
+    best = maximize_af(AcquisitionKind.PI, model, float(ys.min()), substream(21, "af"))
 
     grid = np.linspace(0.0, 1.0, 100_001)[:, None]
     means, stds = predict_batch(model, grid)
     grid_best = scores(AcquisitionKind.PI, means, stds, float(ys.min())).max()
-    m, s = predict_batch(model, domain.to_unit(best)[None, :])
+    m, s = predict_batch(model, best[None, :])
     found = scores(AcquisitionKind.PI, m, s, float(ys.min()))[0]
     assert found >= grid_best - 1e-6
 
 
 def test_result_is_deterministic_and_inside_domain() -> None:
     model, y_min = _quadratic_model()
-    domain = BoxDomain(np.array([0.0]), np.array([1.0]))
-    a = maximize_af(AcquisitionKind.EI, model, y_min, domain, substream(1, "af"))
-    b = maximize_af(AcquisitionKind.EI, model, y_min, domain, substream(1, "af"))
+    a = maximize_af(AcquisitionKind.EI, model, y_min, substream(1, "af"))
+    b = maximize_af(AcquisitionKind.EI, model, y_min, substream(1, "af"))
     assert np.array_equal(a, b)
-    assert _inside(domain, a)
+    assert a.shape == (model.dim,)
+    assert np.all(a >= 0.0) and np.all(a <= 1.0)
 
 
 def test_maximizer_respects_wide_domains() -> None:
-    rng = np.random.default_rng(9)
-    xs = rng.random((8, 2))
+    # The maximizer works in the unit cube; mapped to the [-5, 5]^2 search box
+    # its points must stay inside the box, for every seed.
+    xs = np.random.default_rng(9).random((8, 2))
     ys = np.sin(3 * xs[:, 0]) * np.cos(2 * xs[:, 1])
     model = fit(xs, ys, restarts=4, rng=3)
-    domain = BoxDomain(np.array([-5.0, -5.0]), np.array([5.0, 5.0]))
     for seed in range(3):
-        point = maximize_af(AcquisitionKind.EI, model, float(ys.min()), domain, substream(seed, "af"))
-        assert _inside(domain, point)
+        a = maximize_af(AcquisitionKind.EI, model, float(ys.min()), substream(seed, "af"))
+        b = maximize_af(AcquisitionKind.EI, model, float(ys.min()), substream(seed, "af"))
+        assert np.array_equal(a, b)
+        point = from_unit(a)
+        assert point.shape == (2,)
+        assert np.all(point >= DOMAIN_LOWER) and np.all(point <= DOMAIN_UPPER)

@@ -2,7 +2,7 @@
 
 Every name a module lists in `__all__`, and every name the package
 re-exports, exists and is public; no module reaches into another module's
-`_`-prefixed names.
+`_`-prefixed names; the modules import each other only in the allowed layers.
 """
 
 from __future__ import annotations
@@ -61,3 +61,24 @@ def test_no_module_imports_private_names() -> None:
             ):
                 offenders.append(f"{name}: {node.value.id}.{node.attr}")
     assert not offenders, offenders
+
+
+def _afsched_imports(name: str) -> set[str]:
+    """The afsched modules that afsched.<name> imports, relatively or absolutely."""
+    found = set()
+    for node in ast.walk(_tree(name)):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ("afsched." if node.level else "") + (node.module or "")
+            if module.rstrip(".") == "afsched":  # `from . import x` binds a module
+                found.update(f"afsched.{a.name}" for a in node.names)
+            else:
+                found.add(module)
+    return {m.split(".")[1] for m in found if m.startswith("afsched.")}
+
+
+def test_module_layering() -> None:
+    # The search box is benchfn's alone, and the optimizer knows no landscape or grid.
+    assert _afsched_imports("benchfn") <= {"rng"}, _afsched_imports("benchfn")
+    assert not _afsched_imports("afopt") & {"benchfn", "runner"}, _afsched_imports("afopt")

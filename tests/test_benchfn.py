@@ -5,7 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from afsched.benchfn import FUNCTION_IDS, bbob_domain, evaluate, evaluate_many, make_instance
+from afsched.benchfn import (
+    DOMAIN_LOWER,
+    DOMAIN_UPPER,
+    FUNCTION_IDS,
+    evaluate,
+    evaluate_many,
+    from_unit,
+    make_instance,
+    to_unit,
+)
 
 # Optimum checks are exact by construction for most landscapes; the two
 # constructed multimodal ones get the looser documented tolerance.
@@ -153,7 +162,11 @@ def test_out_of_domain_and_dim_mismatch() -> None:
 
 
 def test_domain_helper() -> None:
-    domain = bbob_domain(3)
-    assert domain.dim == 3
-    assert np.array_equal(domain.lower, np.full(3, -5.0))
-    assert np.array_equal(domain.upper, np.full(3, 5.0))
+    # The unit cube's corners and centre map exactly onto the search box's.
+    assert np.array_equal(from_unit(np.array([0.0, 0.5, 1.0])), [-5.0, 0.0, 5.0])
+    assert np.array_equal(to_unit(np.array([-5.0, 0.0, 5.0])), [0.0, 0.5, 1.0])
+    u = np.random.default_rng(4).random((200, 3))
+    x = from_unit(u)
+    assert np.all(x >= DOMAIN_LOWER) and np.all(x <= DOMAIN_UPPER)
+    assert np.allclose(to_unit(x), u)
+    assert np.allclose(from_unit(to_unit(x)), x)

@@ -217,17 +217,27 @@ def test_report_rejects_short_csv_rows(tmp_path, capsys) -> None:
     curves_header = "function,schedule,step,mean_norm_log_regret,ci_halfwidth\n"
     finals_header = "function,schedule,seed,final_norm_log_regret\n"
     cases = [
-        ("curves.csv", curves_header + "f1,ei,1,0.5\n", finals_header, "expected 5 fields, found 4"),
-        ("finals.csv", curves_header, finals_header + "f1,ei,0,0.5\nf1,ei\n", "expected 4 fields, found 2"),
+        (curves_header + "f1,ei,1,0.5\n", finals_header, "{agg}/curves.csv:2: expected 5 fields, found 4"),
+        (curves_header, finals_header + "f1,ei,0,0.5\nf1,ei\n", "{agg}/finals.csv:3: expected 4 fields, found 2"),
+        (
+            curves_header + "f1,ei,1,abc,0.1\n",
+            finals_header,
+            "{agg}/curves.csv:2: could not convert string to float: 'abc'",
+        ),
+        (
+            curves_header,
+            finals_header + "f1,ei,0,0.5\n",
+            "curves and finals name different functions; in only one of them: f1",
+        ),
     ]
-    for i, (bad_file, curves, finals, message) in enumerate(cases):
+    for i, (curves, finals, message) in enumerate(cases):
         agg = tmp_path / f"agg{i}"
         agg.mkdir()
         (agg / "curves.csv").write_text(curves)
         (agg / "finals.csv").write_text(finals)
         assert main(["report", "--agg", str(agg), "--out", str(tmp_path / "report")]) == 1
-        line = 2 if bad_file == "curves.csv" else 3
-        assert f"error: {agg / bad_file}:{line}: {message}" in capsys.readouterr().err
+        assert "error: " + message.format(agg=agg) in capsys.readouterr().err
+    assert not (tmp_path / "report").exists()
 
 
 def test_aggregate_rejects_malformed_jsonl_lines(tmp_path, capsys) -> None:
