@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 from scipy.optimize import minimize
 
 __all__ = [
@@ -353,7 +352,9 @@ def predict_batch(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
         raise ValueError(f"expected an (m, {model.dim}) matrix, got shape {x.shape}")
     k_star = _cross_kernel(x, model.train_x, model.params)
     mean_s = k_star @ model.alpha
-    v = solve_triangular(model.chol, k_star.T, lower=True, check_finite=False)
+    v, info = dtrtrs(model.chol, k_star.T, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve with the Cholesky factor failed (LAPACK dtrtrs info={info})")
     prior_var = model.params.signal_variance + model.params.noise_variance
     var_s = prior_var - np.einsum("ij,ij->j", v, v)
     np.maximum(var_s, 0.0, out=var_s)

@@ -6,17 +6,21 @@ true-function evaluation for T steps. The initial design substream is keyed on
 the seed alone, so every schedule (and function) under one seed shares it;
 per-step substreams are keyed on (seed, function, step), so schedules that
 agree on a prefix of acquisition choices produce identical trajectories over
-that prefix. Grid cells are independent and may run in worker processes; the
-output follows the config's function x schedule x seed order and is
-byte-identical for any worker count.
-"""
+that prefix. The runner therefore computes each shared step once: the unit of
+work, and of parallel work in the grid, is a (function, seed) pair, whose
+schedules run as one walk over the trie of their acquisition sequences. Every
+step runs on one BLAS thread. The output follows the config's function x
+schedule x seed order and is byte-identical for any worker count."""
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -145,45 +149,10 @@ class CellFailure:
 
 def run_trial(function_id: str, schedule_name: str, seed: int, config: ExperimentConfig) -> TrialTrajectory:
     """Run one cell; raises TrialError naming the step if a surrogate fit fails."""
-    inst = make_instance(function_id, config.dim, seed)
-
-    doe_x = from_unit(initial_design(config.doe_size, config.dim, substream(seed, "doe")))
-    doe_y = evaluate_many(inst, doe_x)
-
-    # The GP trains on the recorded points: to_unit(from_unit(u)) != u in the last bit.
-    xs_unit = list(to_unit(doe_x))
-    ys = list(doe_y)
-    incumbent = float(np.min(doe_y))
-
-    steps: list[StepRecord] = []
-    for t in range(1, config.bo_evals + 1):
-        af = kind_at(schedule_name, t, config.bo_evals, seed)  # raises on an unknown name before any fit
-        try:
-            model = fit(
-                np.asarray(xs_unit),
-                np.asarray(ys),
-                restarts=config.gp_restarts,
-                rng=substream(seed, function_id, "gp-restarts", t),
-            )
-        except GpFitError as exc:
-            raise TrialError(function_id, schedule_name, seed, t, str(exc)) from exc
-        x_next = from_unit(maximize_af(af, model, incumbent, substream(seed, function_id, "af-candidates", t)))
-        y_next = evaluate(inst, x_next)
-        incumbent = min(incumbent, y_next)
-        steps.append(StepRecord(step=t, af=af, x=x_next, y=y_next, incumbent=incumbent))
-        xs_unit.append(to_unit(x_next))
-        ys.append(y_next)
-
-    return TrialTrajectory(
-        function_id=function_id,
-        schedule_name=schedule_name,
-        seed=seed,
-        dim=config.dim,
-        f_opt=inst.f_opt,
-        doe_x=doe_x,
-        doe_y=doe_y,
-        steps=tuple(steps),
-    )
+    (record,) = _run_schedules(function_id, (schedule_name,), seed, config)
+    if isinstance(record, CellFailure):
+        raise TrialError(function_id, schedule_name, seed, record.step, record.message)
+    return record
 
 
 class TrialError(RuntimeError):
@@ -196,19 +165,119 @@ class TrialError(RuntimeError):
         self.message = message
 
 
-def _run_cell(args: tuple[str, str, int, ExperimentConfig]):
-    function_id, schedule_name, seed, config = args
+# Suffixes of the scipy_openblas thread-count functions in the OpenBLAS builds
+# that numpy (64-bit integers) and scipy ship.
+_OPENBLAS_SUFFIXES = ("64_", "")
+
+
+def _openblas_thread_controls() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS copy loaded in this process."""
     try:
-        return run_trial(function_id, schedule_name, seed, config)
-    except TrialError as exc:
-        return CellFailure(
-            function_id=function_id,
-            schedule_name=schedule_name,
-            seed=seed,
-            dim=config.dim,
-            step=exc.step,
-            message=exc.message,
-        )
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in handle if "openblas" in line})
+    except OSError:  # no /proc: leave BLAS as it is
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for suffix in _OPENBLAS_SUFFIXES:
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+    return controls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS copy on one thread; restore the counts after.
+
+    A trial's matrices are small, run_grid's workers already take a core
+    each, and a BLAS reduction split over threads rounds differently, so
+    more threads would cost time and make the output depend on the core and
+    worker count. A copy or function that is not there is skipped.
+    """
+    controls = _openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, before):
+            set_threads(count)
+
+
+@_one_blas_thread()
+def _run_schedules(
+    function_id: str, schedule_names: tuple[str, ...], seed: int, config: ExperimentConfig
+) -> list[TrialTrajectory | CellFailure]:
+    """Run every named schedule on one (function, seed); one record per name, in order.
+
+    The walk goes over the trie of the schedules' acquisition sequences: each
+    node fits the GP once on its shared data, then maximizes and evaluates
+    once per acquisition kind its schedules choose next. A GpFitError at a
+    node becomes a CellFailure at that step for every schedule below it.
+    """
+    total = config.bo_evals
+    # kind_at is pure, so an unknown name raises here, before any fit.
+    kinds = {name: [kind_at(name, t, total, seed) for t in range(1, total + 1)] for name in schedule_names}
+    inst = make_instance(function_id, config.dim, seed)
+    doe_x = from_unit(initial_design(config.doe_size, config.dim, substream(seed, "doe")))
+    doe_y = evaluate_many(inst, doe_x)
+    # The GP trains on the recorded points: to_unit(from_unit(u)) != u in the last bit.
+    doe_unit = list(to_unit(doe_x))
+
+    records: dict[str, TrialTrajectory | CellFailure] = {}
+    branches: list[tuple[list[str], list[StepRecord]]] = [(list(schedule_names), [])]
+    while branches:
+        names, steps = branches.pop()
+        xs_unit = doe_unit + [to_unit(rec.x) for rec in steps]
+        ys = list(doe_y) + [rec.y for rec in steps]
+        for t in range(len(steps) + 1, total + 1):
+            try:
+                model = fit(
+                    np.asarray(xs_unit),
+                    np.asarray(ys),
+                    restarts=config.gp_restarts,
+                    rng=substream(seed, function_id, "gp-restarts", t),
+                )
+            except GpFitError as exc:
+                records.update((name, CellFailure(function_id, name, seed, config.dim, t, str(exc))) for name in names)
+                break
+            incumbent = steps[-1].incumbent if steps else float(np.min(doe_y))
+            groups: dict[AcquisitionKind, list[str]] = {}
+            for name in names:
+                groups.setdefault(kinds[name][t - 1], []).append(name)
+            children = []
+            for af, group in groups.items():
+                x_next = from_unit(maximize_af(af, model, incumbent, substream(seed, function_id, "af-candidates", t)))
+                y_next = evaluate(inst, x_next)
+                children.append((group, StepRecord(step=t, af=af, x=x_next, y=y_next, incumbent=min(incumbent, y_next))))
+            # At a fork every child but the first gets its own copy of the steps.
+            branches.extend((group, steps + [rec]) for group, rec in children[1:])
+            names, rec = children[0]
+            steps.append(rec)
+            xs_unit.append(to_unit(rec.x))
+            ys.append(rec.y)
+        else:  # no fit failed on this branch
+            for name in names:
+                records[name] = TrialTrajectory(
+                    function_id=function_id,
+                    schedule_name=name,
+                    seed=seed,
+                    dim=config.dim,
+                    f_opt=inst.f_opt,
+                    doe_x=doe_x,
+                    doe_y=doe_y,
+                    steps=tuple(steps),
+                )
+    return [records[name] for name in schedule_names]
 
 
 def run_grid(
@@ -216,23 +285,27 @@ def run_grid(
 ) -> list[TrialTrajectory | CellFailure]:
     """Run the functions x schedules x seeds product.
 
-    Failures become CellFailure records instead of aborting the grid. Results
+    The unit of work, in this process or in one of `workers` processes, is a
+    (function, seed) pair: its schedules share the design and every step on
+    which their acquisition choices agree. Failures become CellFailure
+    records instead of aborting the grid. Results, and the `progress` calls,
     follow the config's order, functions outermost and seeds innermost (so
-    functions=("f16", "f1") gives every f16 cell first), for any worker count.
+    functions=("f16", "f1") gives every f16 cell first), for any worker
+    count; a function's records come once all of its seeds are done.
     """
-    cells = [
-        (fid, sched, seed, config)
-        for fid in config.functions
-        for sched in config.schedules
-        for seed in config.seeds
-    ]
+    functions = [fid for fid in config.functions for _ in config.seeds]
+    seeds = [seed for _ in config.functions for seed in config.seeds]
     results = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
         mapper = map if pool is None else pool.map
-        for result in mapper(_run_cell, cells):
-            results.append(result)
-            if progress is not None:
-                progress(result)
+        units = iter(mapper(_run_schedules, functions, repeat(config.schedules), seeds, repeat(config)))
+        for _ in config.functions:
+            by_seed = [next(units) for _ in config.seeds]
+            for i in range(len(config.schedules)):
+                for records in by_seed:
+                    results.append(records[i])
+                    if progress is not None:
+                        progress(records[i])
     return results
 
 

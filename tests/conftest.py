@@ -1,8 +1,9 @@
 """Test-session setup.
 
-BLAS is pinned to one thread per process before numpy loads: the acceptance
-grid runs `run_grid` in this process, and OpenBLAS's default of one thread
-per core makes its many small matrix products fight over the cores.
+BLAS is pinned to one thread per process before numpy loads. `run_trial`
+and `run_grid` pin it themselves while they run; this covers the tests that
+call the GP and the maximizer directly, whose small matrix products gain
+nothing from OpenBLAS's default of one thread per core.
 """
 
 import os

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -276,6 +277,25 @@ def test_standardized_variance_bounded_by_prior() -> None:
     assert np.all(stds >= 0.0)
     var_standardized = (stds / model.y_std) ** 2
     assert np.all(var_standardized <= params.signal_variance + params.noise_variance + 1e-8)
+
+
+def test_predict_batch_equals_the_triangular_solve_and_rejects_a_singular_factor() -> None:
+    from scipy.linalg import solve_triangular
+
+    rng = np.random.default_rng(31)
+    for n, m in ((6, 4), (20, 12), (46, 1024)):
+        x, y, params = _random_problem(rng, n, 2)
+        model = build_model(x, y, params)
+        queries = rng.random((m, 2))
+        _, stds = predict_batch(model, queries)
+        k_star = gp._cross_kernel(queries, model.train_x, params)
+        v = solve_triangular(model.chol, k_star.T, lower=True, check_finite=False)
+        var = np.maximum(params.signal_variance + params.noise_variance - np.einsum("ij,ij->j", v, v), 0.0)
+        assert stds.tobytes() == (model.y_std * np.sqrt(var)).tobytes()
+    chol = model.chol.copy()
+    chol[3, 3] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="info=4"):
+        predict_batch(dataclasses.replace(model, chol=chol), queries)
 
 
 def test_cholesky_reconstructs_noisy_kernel() -> None:

@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import afsched
 import afsched.runner as runner_mod
 from afsched.acquisition import AcquisitionKind
 from afsched.gp import GpFitError
@@ -10,6 +17,7 @@ from afsched.runner import (
     CellFailure,
     ExperimentConfig,
     StepRecord,
+    TrialError,
     TrialTrajectory,
     aggregate,
     log_regret,
@@ -18,6 +26,7 @@ from afsched.runner import (
     run_trial,
     write_records,
 )
+from afsched.schedule import SCHEDULE_NAMES, kind_at
 
 _FAST = dict(doe_size=4, bo_evals=3, gp_restarts=2)
 
@@ -166,6 +175,139 @@ def test_gp_failure_becomes_a_cell_record(monkeypatch) -> None:
     assert isinstance(failure, CellFailure)
     assert failure.step == 1
     assert "forced failure" in failure.message
+
+
+# Every schedule on one function over a few seeds, long enough for every fork kind.
+_TRIE = dict(dim=2, seeds=(0, 1, 2), functions=("f1",), schedules=SCHEDULE_NAMES, doe_size=4, bo_evals=8, gp_restarts=2)
+
+
+def _fingerprint(record: TrialTrajectory) -> tuple:
+    """Every bit a record carries."""
+    return (
+        record.function_id,
+        record.schedule_name,
+        record.seed,
+        record.doe_x.tobytes(),
+        record.doe_y.tobytes(),
+        [rec.af for rec in record.steps],
+        np.array([rec.x for rec in record.steps]).tobytes(),
+        np.array([rec.y for rec in record.steps]).tobytes(),
+        record.incumbents.tobytes(),
+    )
+
+
+@pytest.fixture(scope="module")
+def per_schedule_trials() -> dict[tuple[str, int], TrialTrajectory]:
+    cfg = ExperimentConfig(**_TRIE)
+    return {(sched, seed): run_trial("f1", sched, seed, cfg) for sched in cfg.schedules for seed in cfg.seeds}
+
+
+def _counting(monkeypatch, name: str) -> list[int]:
+    calls = []
+    original = getattr(runner_mod, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, name, counted)
+    return calls
+
+
+def test_grid_shares_schedule_prefixes_exactly(monkeypatch, per_schedule_trials) -> None:
+    cfg = ExperimentConfig(**_TRIE)
+    fits, maximizations = _counting(monkeypatch, "fit"), _counting(monkeypatch, "maximize_af")
+    records = run_grid(cfg)
+    assert [_fingerprint(r) for r in records] == [
+        _fingerprint(per_schedule_trials[(sched, seed)]) for sched in cfg.schedules for seed in cfg.seeds
+    ]
+
+    # One fit per distinct (t-1)-prefix of acquisition choices, one maximization per distinct t-prefix.
+    expected_fits = expected_maximizations = 0
+    for seed in cfg.seeds:
+        kinds = [[kind_at(s, t, cfg.bo_evals, seed) for t in range(1, cfg.bo_evals + 1)] for s in cfg.schedules]
+        for t in range(1, cfg.bo_evals + 1):
+            expected_fits += len({tuple(k[: t - 1]) for k in kinds})
+            expected_maximizations += len({tuple(k[:t]) for k in kinds})
+    steps = len(cfg.schedules) * len(cfg.seeds) * cfg.bo_evals
+    assert (len(fits), len(maximizations)) == (expected_fits, expected_maximizations)
+    assert expected_fits < expected_maximizations < steps
+
+
+def test_fit_failure_at_a_shared_node_fails_only_the_schedules_below_it(monkeypatch, per_schedule_trials) -> None:
+    # Fail the fit of step 5 after four EI steps: ei, ee50 and ee75 (and random, if its
+    # coins say so) sit below that node; the rest forked off earlier.
+    cfg = ExperimentConfig(**{**_TRIE, "seeds": (1,)})
+    ei = per_schedule_trials[("ei", 1)]
+    node_y = np.concatenate([ei.doe_y, [rec.y for rec in ei.steps[:4]]])
+    original = runner_mod.fit
+
+    def fit(train_x, train_y, **kwargs):
+        if np.array_equal(train_y, node_y):
+            raise GpFitError("forced failure", jitter=1e-4)
+        return original(train_x, train_y, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "fit", fit)
+    below = {
+        s for s in cfg.schedules if all(kind_at(s, t, cfg.bo_evals, 1) is AcquisitionKind.EI for t in range(1, 5))
+    }
+    assert {"ei", "ee50", "ee75"} <= below and {"pi", "round_robin", "ee25"}.isdisjoint(below)
+
+    records = run_grid(cfg)
+    for record in records:
+        if record.schedule_name in below:
+            assert record == CellFailure("f1", record.schedule_name, 1, 2, step=5, message="forced failure")
+        else:
+            assert _fingerprint(record) == _fingerprint(per_schedule_trials[(record.schedule_name, 1)])
+    with pytest.raises(TrialError, match="f1/ee75/seed=1 failed at step 5: forced failure"):
+        run_trial("f1", "ee75", 1, cfg)
+
+
+_BLAS_THREADS_IN_TRIALS = """
+import ctypes, json, os
+import afsched.runner as runner
+from afsched.gp import GpFitError
+
+def threads():
+    with open("/proc/self/maps") as handle:
+        paths = {line.split(maxsplit=5)[5].strip() for line in handle if "openblas" in line}
+    found = {}
+    for path in paths:
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+            if hasattr(lib, symbol):
+                found[symbol] = getattr(lib, symbol)()
+    return found
+
+def fit(*args, **kwargs):  # report the thread counts a step sees through its failure message
+    raise GpFitError(json.dumps(threads()))
+
+before = threads()
+runner.fit = fit  # forked workers inherit the replacement
+config = runner.ExperimentConfig(dim=2, seeds=(0, 1), functions=("f1",), schedules=("ei",))
+records = runner.run_grid(config, workers=2) + runner.run_grid(config, workers=1)
+try:
+    runner.run_trial("f1", "ei", 0, config)
+except runner.TrialError as exc:
+    records.append(exc)
+print(json.dumps({"before": before, "steps": [json.loads(r.message) for r in records], "after": threads()}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="lists loaded libraries through /proc")
+def test_trials_run_openblas_on_one_thread_and_restore_it() -> None:
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(afsched.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS_IN_TRIALS], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    seen = json.loads(out)
+    if not seen["before"]:
+        pytest.skip("no scipy-openblas build loaded")
+    assert len(seen["steps"]) == 5
+    for found in seen["steps"]:
+        assert found == dict.fromkeys(seen["before"], 1), seen
+    assert seen["after"] == seen["before"]
 
 
 def test_log_regret_of_powers_of_ten() -> None:
