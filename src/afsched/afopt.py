@@ -3,7 +3,9 @@
 Both work in the unit cube [0, 1]^d; mapping to the search box of the
 benchmark landscapes is the caller's job. The inner loop is gradient-free and
 deterministic given its seed: score a batch of uniform random candidates, then
-refine the best few with a shrinking coordinate pattern search.
+refine the best few with a shrinking coordinate pattern search. Both stages
+are array operations; the search runs all its starts in lockstep, one batched
+posterior call per sweep.
 """
 
 from __future__ import annotations
@@ -43,9 +45,15 @@ def maximize_af(kind: AcquisitionKind, model: GpModel, y_min: float, rng: np.ran
 
     Two stages: score N_CANDIDATES uniform random points, then run a shrinking
     coordinate pattern search (step 0.1 down to 1e-4) from the top
-    N_REFINE_STARTS candidates. Ties prefer the lowest candidate index. The
-    returned point is always inside [0, 1]^model.dim and never scores below
-    the best raw candidate.
+    N_REFINE_STARTS candidates. A sweep scores the 2d neighbours x +/- step*e_k
+    (clipped to the cube) of every start whose step has not run out, in one
+    batched posterior call; a start moves to its best neighbour if that beats
+    its current value, and halves its step otherwise. The starts run in
+    lockstep, but each one follows exactly the path it would follow alone:
+    its moves depend only on its own neighbours' scores, and a sweep's rows
+    are scored independently. Ties prefer the lowest candidate index and the
+    first neighbour. The returned point is always inside [0, 1]^model.dim and
+    never scores below the best raw candidate.
     """
     d = model.dim
 
@@ -58,44 +66,20 @@ def maximize_af(kind: AcquisitionKind, model: GpModel, y_min: float, rng: np.ran
 
     # Stable sort: equal scores keep candidate order, so a flat surface
     # degrades to returning the first candidate.
-    order = np.argsort(-vals, kind="stable")
-    starts = order[:N_REFINE_STARTS]
-
-    xs, vs = _pattern_search(af, cands[starts], vals[starts], d)
-    best = 0
-    for i in range(1, len(starts)):
-        if vs[i] > vs[best]:
-            best = i
-    return xs[best]
-
-
-def _pattern_search(af, starts: np.ndarray, start_vals: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best-of-neighborhood coordinate search from several starts.
-
-    Starts are refined in lockstep so each sweep costs one batched posterior
-    call, but every start follows exactly the trajectory it would follow
-    alone: moves depend only on that start's own neighborhood.
-    """
-    m = starts.shape[0]
-    xs = starts.astype(float, copy=True)
-    vs = np.asarray(start_vals, dtype=float).copy()
-    steps = np.full(m, _STEP_START)
+    starts = np.argsort(-vals, kind="stable")[:N_REFINE_STARTS]
+    xs, vs = cands[starts], vals[starts]
+    steps = np.full(starts.size, _STEP_START)
+    moves = np.kron(np.eye(d), [[1.0], [-1.0]])  # rows +e_0, -e_0, +e_1, ...
     for _ in range(_MAX_SWEEPS):
         active = np.flatnonzero(steps >= _STEP_STOP)
         if active.size == 0:
             break
-        neighbors = np.repeat(xs[active], 2 * d, axis=0)
-        for row, i in enumerate(active):
-            base = 2 * d * row
-            for k in range(d):
-                neighbors[base + 2 * k, k] = min(1.0, xs[i, k] + steps[i])
-                neighbors[base + 2 * k + 1, k] = max(0.0, xs[i, k] - steps[i])
-        nv = af(neighbors).reshape(active.size, 2 * d)
-        for row, i in enumerate(active):
-            j = int(np.argmax(nv[row]))
-            if nv[row, j] > vs[i]:
-                xs[i] = neighbors[2 * d * row + j]
-                vs[i] = float(nv[row, j])
-            else:
-                steps[i] *= 0.5
-    return xs, vs
+        neighbors = np.minimum(np.maximum(xs[active, None, :] + steps[active, None, None] * moves, 0.0), 1.0)
+        nv = af(neighbors.reshape(-1, d)).reshape(active.size, 2 * d)
+        best = np.argmax(nv, axis=1)
+        best_v = nv.max(axis=1)
+        improved = best_v > vs[active]
+        xs[active[improved]] = neighbors[improved, best[improved]]
+        vs[active[improved]] = best_v[improved]
+        steps[active[~improved]] *= 0.5
+    return xs[np.argmax(vs)]

@@ -91,8 +91,17 @@ def _cmd_run(args) -> int:
                 f"final_regret={record.final_incumbent - record.f_opt:.6g}"
             )
 
-    records = run_grid(config, workers=args.workers, progress=progress)
-    args.out.mkdir(parents=True, exist_ok=True)
+    # A bad output path or worker count fails here, before any cell runs.
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return 2
+    try:
+        records = run_grid(config, workers=args.workers, progress=progress)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     write_records(records, args.out / "trajectories.jsonl")
     failures = sum(isinstance(r, CellFailure) for r in records)
     print(f"wrote {len(records)} records ({failures} failed) to {args.out / 'trajectories.jsonl'}")
@@ -128,7 +137,11 @@ def _cmd_aggregate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    write_aggregate(report, args.out)
+    try:
+        write_aggregate(report, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if report.degenerate:
         print(f"warning: degenerate normalization (all values equal) for: {', '.join(report.degenerate)}")
     print(f"wrote {args.out / 'curves.csv'} and {args.out / 'finals.csv'}")

@@ -49,14 +49,7 @@ _BOUND_NOISE_VAR = (math.log(NOISE_FLOOR), math.log(1e1))
 
 
 class GpFitError(RuntimeError):
-    """Raised when the kernel matrix cannot be factorized or the fit fails.
-
-    `jitter` carries the largest diagonal jitter that was attempted.
-    """
-
-    def __init__(self, message: str, jitter: float | None = None):
-        super().__init__(message)
-        self.jitter = jitter
+    """Raised when the kernel matrix cannot be factorized or the fit fails."""
 
 
 @dataclass(frozen=True)
@@ -161,9 +154,7 @@ def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
         L, info = dpotrf(work, lower=1, clean=1)
         if info == 0:
             return L, jitter
-    raise GpFitError(
-        f"Cholesky factorization failed up to jitter {_JITTERS[-1]:g}", jitter=_JITTERS[-1]
-    )
+    raise GpFitError(f"Cholesky factorization failed up to jitter {_JITTERS[-1]:g}")
 
 
 def _factorize(

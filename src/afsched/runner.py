@@ -288,25 +288,32 @@ def run_grid(
     The unit of work, in this process or in one of `workers` processes, is a
     (function, seed) pair: its schedules share the design and every step on
     which their acquisition choices agree. Failures become CellFailure
-    records instead of aborting the grid. Results, and the `progress` calls,
-    follow the config's order, functions outermost and seeds innermost (so
-    functions=("f16", "f1") gives every f16 cell first), for any worker
-    count; a function's records come once all of its seeds are done.
+    records instead of aborting the grid. `progress` is called with each
+    record as soon as its pair is done: pairs in the config's order, functions
+    outermost and seeds innermost, and within a pair the config's schedule
+    order. The returned list follows the config's function x schedule x seed
+    order (so functions=("f16", "f1") gives every f16 cell first), for any
+    worker count. Raises ValueError, before any work, if workers < 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     functions = [fid for fid in config.functions for _ in config.seeds]
     seeds = [seed for _ in config.functions for seed in config.seeds]
-    results = []
+    units = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
         mapper = map if pool is None else pool.map
-        units = iter(mapper(_run_schedules, functions, repeat(config.schedules), seeds, repeat(config)))
-        for _ in config.functions:
-            by_seed = [next(units) for _ in config.seeds]
-            for i in range(len(config.schedules)):
-                for records in by_seed:
-                    results.append(records[i])
-                    if progress is not None:
-                        progress(records[i])
-    return results
+        for records in mapper(_run_schedules, functions, repeat(config.schedules), seeds, repeat(config)):
+            units.append(records)
+            if progress is not None:
+                for record in records:
+                    progress(record)
+    n_seeds = len(config.seeds)
+    return [
+        units[f * n_seeds + s][i]
+        for f in range(len(config.functions))
+        for i in range(len(config.schedules))
+        for s in range(n_seeds)
+    ]
 
 
 def log_regret(trajectory: TrialTrajectory) -> np.ndarray:
@@ -366,27 +373,26 @@ def aggregate(trajectories: list[TrialTrajectory]) -> AggregateReport:
             raise ValueError(f"duplicate cell {key}")
         by_cell[key] = log_regret(traj)
 
-    functions = sorted({fid for fid, _, _ in by_cell}, key=lambda f: _rank(f, FUNCTION_IDS))
-    schedules_by_fn = {
-        fid: sorted({s for f, s, _ in by_cell if f == fid}, key=lambda s: _rank(s, SCHEDULE_NAMES))
-        for fid in functions
-    }
-    seeds_by_pair = {
-        (fid, sched): sorted(seed for f, s, seed in by_cell if (f, s) == (fid, sched))
-        for fid in functions
-        for sched in schedules_by_fn[fid]
-    }
-    for pair, seeds in seeds_by_pair.items():
-        if len(seeds) < 2:
-            raise ValueError(f"need >= 2 seeds per (function, schedule) for a CI; {pair} has {len(seeds)}")
+    # Cells in table order: functions and schedules by rank, then seeds.
+    seeds_by_fn: dict[str, dict[str, list[int]]] = {}
+    for fid, sched, seed in sorted(
+        by_cell, key=lambda key: (_rank(key[0], FUNCTION_IDS), _rank(key[1], SCHEDULE_NAMES), key[2])
+    ):
+        seeds_by_fn.setdefault(fid, {}).setdefault(sched, []).append(seed)
+    for fid, seeds_by_sched in seeds_by_fn.items():
+        for sched, seeds in seeds_by_sched.items():
+            if len(seeds) < 2:
+                raise ValueError(
+                    f"need >= 2 seeds per (function, schedule) for a CI; {(fid, sched)} has {len(seeds)}"
+                )
 
     bounds: dict[str, tuple[float, float]] = {}
     degenerate: list[str] = []
     curves: list[CurvePoint] = []
     finals: list[FinalPoint] = []
-    for fid in functions:
+    for fid, seeds_by_sched in seeds_by_fn.items():
         values = np.concatenate(
-            [by_cell[(fid, sched, seed)] for sched in schedules_by_fn[fid] for seed in seeds_by_pair[(fid, sched)]]
+            [by_cell[(fid, sched, seed)] for sched, seeds in seeds_by_sched.items() for seed in seeds]
         )
         lo, hi = float(values.min()), float(values.max())
         bounds[fid] = (lo, hi)
@@ -399,8 +405,7 @@ def aggregate(trajectories: list[TrialTrajectory]) -> AggregateReport:
                 return np.zeros_like(v)
             return (v - lo) / span
 
-        for sched in schedules_by_fn[fid]:
-            seeds = seeds_by_pair[(fid, sched)]
+        for sched, seeds in seeds_by_sched.items():
             matrix = np.vstack([normalize(by_cell[(fid, sched, seed)]) for seed in seeds])
             means = matrix.mean(axis=0)
             halfwidths = 1.96 * matrix.std(axis=0, ddof=1) / np.sqrt(len(seeds))

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import pytest
+
 import afsched.cli as cli_mod
+import afsched.runner as runner_mod
 from afsched.cli import _parse_seeds, main
 from afsched.runner import CellFailure, read_records
 
@@ -194,6 +197,27 @@ def test_run_rejects_duplicate_seeds(tmp_path, monkeypatch, capsys) -> None:
     assert not (tmp_path / "runs").exists()
 
 
+def test_run_rejects_an_output_path_that_is_a_file(tmp_path, monkeypatch, capsys) -> None:
+    _forbid_compute(monkeypatch)
+    out = tmp_path / "runs"
+    out.write_text("not a directory\n")
+    assert _run(out) == 2
+    assert "error: cannot create output directory" in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_run_rejects_a_worker_count_below_one(tmp_path, monkeypatch, capsys, workers) -> None:
+    def no_unit(*args):
+        raise AssertionError("a (function, seed) unit ran with an invalid worker count")
+
+    monkeypatch.setattr(runner_mod, "_run_schedules", no_unit)
+    args = ["run", "--dim", "2", "--functions", "f1", "--schedules", "ei", "--seeds", "0..2"]
+    assert main(args + ["--out", str(tmp_path / "runs"), "--workers", workers, *_RUN_FAST]) == 2
+    assert f"error: workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not (tmp_path / "runs" / "trajectories.jsonl").exists()
+
+
 def test_run_worker_invariance_bytes(tmp_path) -> None:
     a, b = tmp_path / "w1", tmp_path / "w2"
     args = [
@@ -255,3 +279,14 @@ def test_aggregate_rejects_malformed_jsonl_lines(tmp_path, capsys) -> None:
         (bad / "t.jsonl").write_text(text + "\n")
         assert main(["aggregate", "--in", str(bad), "--out", str(tmp_path / "agg")]) == 1
         assert f"error: {bad / 't.jsonl'}:{message}" in capsys.readouterr().err
+
+
+def test_aggregate_rejects_an_output_path_that_is_a_file(tmp_path, capsys) -> None:
+    runs = tmp_path / "runs"
+    assert _run(runs) == 0
+    out = tmp_path / "agg"
+    out.write_text("not a directory\n")
+    capsys.readouterr()
+    assert main(["aggregate", "--in", str(runs), "--out", str(out)]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"

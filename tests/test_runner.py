@@ -151,6 +151,23 @@ def test_grid_cardinality_and_order() -> None:
     ]
 
 
+def test_grid_reports_each_function_seed_pair_as_soon_as_it_is_done(monkeypatch) -> None:
+    events = []
+    run_schedules = runner_mod._run_schedules
+
+    def spy(function_id, schedule_names, seed, config):
+        events.append(("start", function_id, seed))
+        return run_schedules(function_id, schedule_names, seed, config)
+
+    monkeypatch.setattr(runner_mod, "_run_schedules", spy)
+    cfg = _config(functions=("f5", "f1"), seeds=(1, 0))
+    records = run_grid(cfg, workers=1, progress=lambda r: events.append((r.function_id, r.schedule_name, r.seed)))
+    pairs = [(f, seed) for f in ("f5", "f1") for seed in (1, 0)]
+    assert events == [e for f, seed in pairs for e in (("start", f, seed), (f, "ei", seed), (f, "pi", seed))]
+    keys = [(r.function_id, r.schedule_name, r.seed) for r in records]
+    assert keys == [(f, s, seed) for f in ("f5", "f1") for s in ("ei", "pi") for seed in (1, 0)]
+
+
 def test_grid_is_reproducible_and_worker_invariant(tmp_path) -> None:
     cfg = _config(seeds=(0, 1))
     sequential = run_grid(cfg, workers=1)
@@ -165,7 +182,7 @@ def test_grid_is_reproducible_and_worker_invariant(tmp_path) -> None:
 
 def test_gp_failure_becomes_a_cell_record(monkeypatch) -> None:
     def broken_fit(*args, **kwargs):
-        raise GpFitError("forced failure", jitter=1e-4)
+        raise GpFitError("forced failure")
 
     monkeypatch.setattr(runner_mod, "fit", broken_fit)
     cfg = _config(seeds=(0,), schedules=("ei",))
@@ -244,7 +261,7 @@ def test_fit_failure_at_a_shared_node_fails_only_the_schedules_below_it(monkeypa
 
     def fit(train_x, train_y, **kwargs):
         if np.array_equal(train_y, node_y):
-            raise GpFitError("forced failure", jitter=1e-4)
+            raise GpFitError("forced failure")
         return original(train_x, train_y, **kwargs)
 
     monkeypatch.setattr(runner_mod, "fit", fit)
