@@ -45,12 +45,13 @@ def scores(kind: AcquisitionKind, means: np.ndarray, stds: np.ndarray, y_min: fl
     """Acquisition values for a batch of posterior (mean, std) pairs."""
     delta = y_min - np.asarray(means, dtype=float)
     sigma = np.asarray(stds, dtype=float)
-    if np.any(sigma < 0.0):
+    if (sigma < 0.0).any():
         raise ValueError("stds must be nonnegative")
     positive = sigma > 0.0
-    z = np.divide(delta, sigma, out=np.zeros_like(delta), where=positive)
+    z = np.divide(delta, sigma, out=np.zeros(delta.shape), where=positive)
     if kind is AcquisitionKind.EI:
-        value = delta * std_normal_cdf(z) + sigma * std_normal_pdf(z)
+        value = delta * std_normal_cdf(z)
+        value += sigma * std_normal_pdf(z)
         # The expectation is nonnegative; clip roundoff from the two-term form.
         return np.where(positive, np.maximum(value, 0.0), 0.0)
     if kind is AcquisitionKind.PI:

@@ -53,7 +53,9 @@ def maximize_af(kind: AcquisitionKind, model: GpModel, y_min: float, rng: np.ran
     its moves depend only on its own neighbours' scores, and a sweep's rows
     are scored independently. Ties prefer the lowest candidate index and the
     first neighbour. The returned point is always inside [0, 1]^model.dim and
-    never scores below the best raw candidate.
+    never scores below the best raw candidate. Raises ValueError if a
+    candidate's score is not finite, as with a non-finite posterior; the
+    check runs once, on the raw candidates.
     """
     d = model.dim
 
@@ -63,23 +65,31 @@ def maximize_af(kind: AcquisitionKind, model: GpModel, y_min: float, rng: np.ran
 
     cands = rng.random((N_CANDIDATES, d))
     vals = af(cands)
+    if not np.isfinite(vals).all():
+        raise ValueError("acquisition values are not finite at every candidate: the posterior is not finite")
 
     # Stable sort: equal scores keep candidate order, so a flat surface
     # degrades to returning the first candidate.
     starts = np.argsort(-vals, kind="stable")[:N_REFINE_STARTS]
     xs, vs = cands[starts], vals[starts]
+    # The live starts (those whose step has not run out), by index into xs/vs.
+    live, x, v = np.arange(starts.size), xs.copy(), vs.copy()
     steps = np.full(starts.size, _STEP_START)
     moves = np.kron(np.eye(d), [[1.0], [-1.0]])  # rows +e_0, -e_0, +e_1, ...
     for _ in range(_MAX_SWEEPS):
-        active = np.flatnonzero(steps >= _STEP_STOP)
-        if active.size == 0:
-            break
-        neighbors = np.minimum(np.maximum(xs[active, None, :] + steps[active, None, None] * moves, 0.0), 1.0)
-        nv = af(neighbors.reshape(-1, d)).reshape(active.size, 2 * d)
-        best = np.argmax(nv, axis=1)
+        neighbors = np.minimum(np.maximum(x[:, None, :] + steps[:, None, None] * moves, 0.0), 1.0)
+        nv = af(neighbors.reshape(-1, d)).reshape(live.size, 2 * d)
+        best = nv.argmax(axis=1)
         best_v = nv.max(axis=1)
-        improved = best_v > vs[active]
-        xs[active[improved]] = neighbors[improved, best[improved]]
-        vs[active[improved]] = best_v[improved]
-        steps[active[~improved]] *= 0.5
+        improved = best_v > v
+        x[improved] = neighbors[improved, best[improved]]
+        v[improved] = best_v[improved]
+        steps[~improved] *= 0.5
+        going = steps >= _STEP_STOP
+        if not going.all():
+            xs[live], vs[live] = x, v
+            live, x, v, steps = live[going], x[going], v[going], steps[going]
+            if live.size == 0:
+                break
+    xs[live], vs[live] = x, v
     return xs[np.argmax(vs)]

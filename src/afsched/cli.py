@@ -91,20 +91,28 @@ def _cmd_run(args) -> int:
                 f"final_regret={record.final_incumbent - record.f_opt:.6g}"
             )
 
-    # A bad output path or worker count fails here, before any cell runs.
+    # A bad worker count or output path fails here, before any cell runs and
+    # before the output file is touched. Opening the file to append tests
+    # that it can be written without changing it.
+    if args.workers < 1:
+        print(f"error: workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return 2
+    path = args.out / "trajectories.jsonl"
     try:
         args.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 2
     try:
-        records = run_grid(config, workers=args.workers, progress=progress)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 2
-    write_records(records, args.out / "trajectories.jsonl")
+    # A failure inside a cell becomes a CellFailure record, so the grid runs to the end.
+    records = run_grid(config, workers=args.workers, progress=progress)
+    write_records(records, path)
     failures = sum(isinstance(r, CellFailure) for r in records)
-    print(f"wrote {len(records)} records ({failures} failed) to {args.out / 'trajectories.jsonl'}")
+    print(f"wrote {len(records)} records ({failures} failed) to {path}")
     if failures == len(records):
         print("error: every cell failed", file=sys.stderr)
         return 1

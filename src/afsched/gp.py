@@ -3,9 +3,12 @@
 Matern 5/2 kernel with per-dimension (ARD) lengthscales, learned noise with a
 hard floor, outputs standardized to zero mean / unit variance. Hyperparameters
 are chosen by maximizing the log marginal likelihood with a multi-start
-quasi-Newton ascent on analytic gradients. Inputs are expected to be
-pre-scaled to [0, 1]^d by the caller; predictions are de-standardized back to
-the original output units and include the learned observation noise.
+quasi-Newton ascent on analytic gradients; each ascent is an L-BFGS-B loop
+that drives scipy's reverse-communication entry point `setulb` directly.
+Inputs are expected to be pre-scaled to [0, 1]^d by the caller; predictions
+are de-standardized back to the original output units and include the
+learned observation noise. A fitted model carries the posterior constants
+that predictions need, so a prediction does only per-query work.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult
+from scipy.optimize._lbfgsb import setulb
+from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 __all__ = [
     "NOISE_FLOOR",
@@ -46,6 +51,13 @@ _START_NOISE_VAR = (1e-8, 1e-2)
 _BOUND_LENGTHSCALE = (math.log(1e-3), math.log(1e3))
 _BOUND_SIGNAL_VAR = (math.log(1e-8), math.log(1e4))
 _BOUND_NOISE_VAR = (math.log(NOISE_FLOOR), math.log(1e1))
+
+# L-BFGS-B settings: scipy.optimize.minimize's defaults for method="L-BFGS-B".
+_LBFGS_MEMORY = 10
+_LBFGS_FACTR = 1e7  # its ftol 2.2204460492503131e-09 over machine epsilon
+_LBFGS_PGTOL = 1e-5
+_LBFGS_MAXLS = 20
+_LBFGS_MAXFUN = 15000
 
 
 class GpFitError(RuntimeError):
@@ -101,7 +113,11 @@ class KernelParams:
 
 @dataclass(frozen=True, eq=False)
 class GpModel:
-    """Fitted posterior state: hyperparameters, data and Cholesky factor."""
+    """Fitted posterior state: hyperparameters, data and Cholesky factor.
+
+    The last three fields are constants of the posterior that build_model
+    computes once, so that predict_batch does only per-query work.
+    """
 
     params: KernelParams
     train_x: np.ndarray
@@ -110,6 +126,9 @@ class GpModel:
     y_std: float
     chol: np.ndarray
     alpha: np.ndarray
+    scaled_x: np.ndarray  # train_x / lengthscales
+    scaled_sqnorms: np.ndarray  # squared row norms of scaled_x
+    prior_var: float  # signal variance + noise variance
 
     @property
     def dim(self) -> int:
@@ -123,21 +142,6 @@ def _sq_diffs(x: np.ndarray) -> np.ndarray:
     """
     diff = x[:, None, :] - x[None, :, :]
     return (diff * diff).reshape(-1, x.shape[1])
-
-
-def _cross_kernel(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Matern 5/2 kernel matrix between row sets a (m, d) and b (n, d).
-
-    k(a, b) = sv * (1 + sqrt(5) r + 5 r^2 / 3) * exp(-sqrt(5) r) with r the
-    lengthscale-weighted Euclidean distance.
-    """
-    ls = params.lengthscales
-    asq = a / ls
-    bsq = b / ls
-    sq = np.sum(asq * asq, axis=1)[:, None] + np.sum(bsq * bsq, axis=1)[None, :] - 2.0 * asq @ bsq.T
-    np.maximum(sq, 0.0, out=sq)
-    r = np.sqrt(sq)
-    return params.signal_variance * (1.0 + _SQRT5 * r + (5.0 / 3.0) * sq) * np.exp(-_SQRT5 * r)
 
 
 def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
@@ -158,16 +162,16 @@ def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _factorize(
-    theta: np.ndarray, raw_sq: np.ndarray, y: np.ndarray
+    inv_sq_ls: np.ndarray, sv: float, nv: float, raw_sq: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Kernel matrix K, gradient envelope, Cholesky factor of K + nv I and alpha.
 
-    `theta` is KernelParams.to_vector(); `raw_sq` comes from _sq_diffs. The
-    envelope E gives dK/d(log ls_j) = E * (squared differences in j) / ls_j^2.
+    `inv_sq_ls` holds 1 / ls_j^2, `sv` and `nv` are the signal and noise
+    variances and `raw_sq` comes from _sq_diffs. The envelope E gives
+    dK/d(log ls_j) = E * (squared differences in j) / ls_j^2.
     """
     n = y.size
-    sv = math.exp(theta[-2])
-    sq = (raw_sq @ np.exp(-2.0 * theta[:-2])).reshape(n, n)
+    sq = (raw_sq @ inv_sq_ls).reshape(n, n)
     r5 = np.sqrt(sq)
     r5 *= _SQRT5
     decay = np.exp(-r5)
@@ -183,7 +187,7 @@ def _factorize(
     envelope *= 5.0 / 3.0
 
     k_noisy = k.copy()
-    k_noisy.flat[:: n + 1] += math.exp(theta[-1])
+    k_noisy.reshape(-1)[:: n + 1] += nv  # the diagonal, as a view: the copy is C-ordered
     L, _ = _chol_with_jitter(k_noisy)
     alpha, _ = dpotrs(L, y, lower=1)
     return k, envelope, L, alpha
@@ -192,21 +196,24 @@ def _factorize(
 def _lml_and_grad(theta: np.ndarray, raw_sq: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Log marginal likelihood and its gradient at log-parameters theta (GPML Alg. 2.1, eq. 5.9)."""
     n = y.size
-    k, envelope, L, alpha = _factorize(theta, raw_sq, y)
-    value = -0.5 * float(y @ alpha) - float(np.sum(np.log(np.diagonal(L)))) - 0.5 * n * math.log(2.0 * math.pi)
+    inv_sq_ls = np.exp(-2.0 * theta[:-2])
+    nv = math.exp(theta[-1])
+    k, envelope, L, alpha = _factorize(inv_sq_ls, math.exp(theta[-2]), nv, raw_sq, y)
+    value = -0.5 * float(y @ alpha) - float(np.log(L.diagonal()).sum()) - 0.5 * n * math.log(2.0 * math.pi)
 
     # W = alpha alpha' - K^-1; d(lml)/d(theta_j) = 0.5 tr(W dK/d(theta_j)).
     # dpotri fills the lower triangle of K^-1 and leaves L's zero upper one.
     lower_inv, _ = dpotri(L, lower=1)
     k_inv = lower_inv + lower_inv.T
     k_inv.flat[:: n + 1] *= 0.5
-    w = np.outer(alpha, alpha)
+    w = alpha[:, None] * alpha
     w -= k_inv
 
     grad = np.empty(theta.size)
-    grad[:-2] = (0.5 * ((w * envelope).ravel() @ raw_sq)) * np.exp(-2.0 * theta[:-2])
-    grad[-2] = 0.5 * float(np.vdot(w, k))                         # dK/d(log sv) = K
-    grad[-1] = 0.5 * math.exp(theta[-1]) * float(np.trace(w))     # dK/d(log nv) = nv I
+    grad[-2] = 0.5 * float(np.vdot(w, k))           # dK/d(log sv) = K
+    grad[-1] = 0.5 * nv * float(w.trace())          # dK/d(log nv) = nv I
+    w *= envelope
+    grad[:-2] = (0.5 * (w.ravel() @ raw_sq)) * inv_sq_ls
     return value, grad
 
 
@@ -255,7 +262,10 @@ def build_model(train_x: np.ndarray, train_y: np.ndarray, params: KernelParams) 
     if x.shape[1] != params.dim:
         raise ValueError(f"train_x dim {x.shape[1]} does not match {params.dim} lengthscales")
     y_s, y_mean, y_std = _standardize(y)
-    _, _, L, alpha = _factorize(params.to_vector(), _sq_diffs(x), y_s)
+    _, _, L, alpha = _factorize(
+        np.exp(-2.0 * params.log_lengthscales), params.signal_variance, params.noise_variance, _sq_diffs(x), y_s
+    )
+    scaled_x = x / params.lengthscales
     return GpModel(
         params=params,
         train_x=x,
@@ -264,6 +274,71 @@ def build_model(train_x: np.ndarray, train_y: np.ndarray, params: KernelParams) 
         y_std=y_std,
         chol=L,
         alpha=alpha,
+        scaled_x=scaled_x,
+        scaled_sqnorms=(scaled_x * scaled_x).sum(axis=1),
+        prior_var=params.signal_variance + params.noise_variance,
+    )
+
+
+def minimize(fun, x0: np.ndarray, bounds, maxiter: int) -> OptimizeResult:
+    """Minimize fun(x) -> (value, gradient) over a box with L-BFGS-B.
+
+    L-BFGS-B (Zhu, Byrd, Lu & Nocedal, ACM TOMS 23(4), 1997) is a
+    reverse-communication routine: scipy's `setulb` returns whenever it needs
+    f and g at x or has finished an iteration. This is the loop of
+    scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
+    bounds=bounds, options={"maxiter": maxiter}) without its wrappers: the
+    same settings, the same evaluation points and the same x, fun, nfev, nit,
+    success and message. `bounds` holds one finite (lower, upper) pair per
+    coordinate; x0 is clipped into them. Like scipy, it evaluates at x0 first
+    and calls `fun` (on a copy of x) again only at a point that differs from
+    the last one.
+
+    It keeps scipy's name so that the benchmark's `gp.lbfgs` span, which
+    wraps `gp.minimize`, still times and counts each run.
+    """
+    lower, upper = np.array(bounds, dtype=float).T.copy()
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    n, m = x.size, _LBFGS_MEMORY
+    nbd = np.full(n, 2, dtype=np.int32)  # 2: bounded below and above
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    # The last point evaluated, as a list: comparing lists of floats is
+    # scipy's np.array_equal test (-0.0 == 0.0, nan != nan) at a tenth of the cost.
+    seen = x.tolist()
+    f_seen, g_seen = fun(x.copy())
+    nfev, nit = 1, 0
+    f, g = np.array(0.0), np.zeros(n)
+    while True:
+        setulb(m, x, lower, upper, nbd, f, g, _LBFGS_FACTR, _LBFGS_PGTOL, wa, iwa, task, lsave, isave, dsave,
+               _LBFGS_MAXLS, ln_task)
+        if task[0] == 3:  # FG: wants f and g at x
+            if x.tolist() != seen:
+                seen = x.tolist()
+                f_seen, g_seen = fun(x.copy())
+                nfev += 1
+            # setulb may write to g; the copy keeps g_seen as fun returned it.
+            f, g = f_seen, g_seen.copy()
+        elif task[0] == 1:  # NEW_X: an iteration is done
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504  # STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT
+            elif nfev > _LBFGS_MAXFUN:
+                task[:] = 5, 502  # STOP: TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT
+        else:
+            break
+    return OptimizeResult(
+        x=x,
+        fun=f,
+        nfev=nfev,
+        nit=nit,
+        success=bool(task[0] == 4),  # CONVERGENCE
+        message=f"{status_messages[task[0]]}: {task_messages[task[1]]}",
     )
 
 
@@ -311,14 +386,7 @@ def fit(
     best_neg = math.inf
     failed = 0
     for i in range(restarts):
-        result = minimize(
-            objective,
-            starts[i],
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": 200},
-        )
+        result = minimize(objective, starts[i], bounds, maxiter=200)
         failed += result.fun >= _FAILED_OBJECTIVE
         if result.fun < best_neg:
             best_neg = float(result.fun)
@@ -341,13 +409,26 @@ def predict_batch(model: GpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.dim:
         raise ValueError(f"expected an (m, {model.dim}) matrix, got shape {x.shape}")
-    k_star = _cross_kernel(x, model.train_x, model.params)
+    # Matern 5/2 cross-kernel k(x, train_x) = sv (1 + sqrt(5) r + 5 r^2 / 3)
+    # exp(-sqrt(5) r), r the lengthscale-weighted distance, built in place.
+    scaled = x / model.params.lengthscales
+    sq = (scaled * scaled).sum(axis=1)[:, None] + model.scaled_sqnorms[None, :] - 2.0 * scaled @ model.scaled_x.T
+    np.maximum(sq, 0.0, out=sq)
+    r = np.sqrt(sq)
+    decay = np.multiply(r, -_SQRT5)
+    np.exp(decay, out=decay)
+    k_star = np.multiply(r, _SQRT5, out=r)
+    k_star += 1.0
+    sq *= 5.0 / 3.0
+    k_star += sq
+    k_star *= model.params.signal_variance
+    k_star *= decay
     mean_s = k_star @ model.alpha
-    v, info = dtrtrs(model.chol, k_star.T, lower=1)
+    # k_star is not needed after the solve, so dtrtrs may overwrite its transpose.
+    v, info = dtrtrs(model.chol, k_star.T, lower=1, overwrite_b=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve with the Cholesky factor failed (LAPACK dtrtrs info={info})")
-    prior_var = model.params.signal_variance + model.params.noise_variance
-    var_s = prior_var - np.einsum("ij,ij->j", v, v)
+    var_s = model.prior_var - np.einsum("ij,ij->j", v, v)
     np.maximum(var_s, 0.0, out=var_s)
     means = model.y_mean + model.y_std * mean_s
     stds = model.y_std * np.sqrt(var_s)

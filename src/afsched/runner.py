@@ -148,7 +148,7 @@ class CellFailure:
 
 
 def run_trial(function_id: str, schedule_name: str, seed: int, config: ExperimentConfig) -> TrialTrajectory:
-    """Run one cell; raises TrialError naming the step if a surrogate fit fails."""
+    """Run one cell; raises TrialError naming the step and the cause if a surrogate step fails."""
     (record,) = _run_schedules(function_id, (schedule_name,), seed, config)
     if isinstance(record, CellFailure):
         raise TrialError(function_id, schedule_name, seed, record.step, record.message)
@@ -221,8 +221,10 @@ def _run_schedules(
 
     The walk goes over the trie of the schedules' acquisition sequences: each
     node fits the GP once on its shared data, then maximizes and evaluates
-    once per acquisition kind its schedules choose next. A GpFitError at a
-    node becomes a CellFailure at that step for every schedule below it.
+    once per acquisition kind its schedules choose next. An exception in the
+    fit becomes a CellFailure at that step for every schedule below the node,
+    and one in maximize_af or evaluate for every schedule of that kind's
+    branch; the other schedules go on.
     """
     total = config.bo_evals
     # kind_at is pure, so an unknown name raises here, before any fit.
@@ -247,8 +249,8 @@ def _run_schedules(
                     restarts=config.gp_restarts,
                     rng=substream(seed, function_id, "gp-restarts", t),
                 )
-            except GpFitError as exc:
-                records.update((name, CellFailure(function_id, name, seed, config.dim, t, str(exc))) for name in names)
+            except Exception as exc:  # a failed step fails its cells, never the grid
+                records.update(_failures(function_id, names, seed, config.dim, t, exc))
                 break
             incumbent = steps[-1].incumbent if steps else float(np.min(doe_y))
             groups: dict[AcquisitionKind, list[str]] = {}
@@ -256,16 +258,22 @@ def _run_schedules(
                 groups.setdefault(kinds[name][t - 1], []).append(name)
             children = []
             for af, group in groups.items():
-                x_next = from_unit(maximize_af(af, model, incumbent, substream(seed, function_id, "af-candidates", t)))
-                y_next = evaluate(inst, x_next)
+                try:
+                    x_next = from_unit(maximize_af(af, model, incumbent, substream(seed, function_id, "af-candidates", t)))
+                    y_next = evaluate(inst, x_next)
+                except Exception as exc:  # a failed step fails its cells, never the grid
+                    records.update(_failures(function_id, group, seed, config.dim, t, exc))
+                    continue
                 children.append((group, StepRecord(step=t, af=af, x=x_next, y=y_next, incumbent=min(incumbent, y_next))))
+            if not children:
+                break
             # At a fork every child but the first gets its own copy of the steps.
             branches.extend((group, steps + [rec]) for group, rec in children[1:])
             names, rec = children[0]
             steps.append(rec)
             xs_unit.append(to_unit(rec.x))
             ys.append(rec.y)
-        else:  # no fit failed on this branch
+        else:  # no step failed on this branch
             for name in names:
                 records[name] = TrialTrajectory(
                     function_id=function_id,
@@ -278,6 +286,15 @@ def _run_schedules(
                     steps=tuple(steps),
                 )
     return [records[name] for name in schedule_names]
+
+
+def _failures(function_id: str, names: list[str], seed: int, dim: int, step: int, exc: Exception):
+    """(name, CellFailure) for each named schedule; the message names the exception's type.
+
+    A GpFitError keeps its own message, which already says what failed.
+    """
+    message = str(exc) if isinstance(exc, GpFitError) else f"{type(exc).__name__}: {exc}"
+    return ((name, CellFailure(function_id, name, seed, dim, step, message)) for name in names)
 
 
 def run_grid(

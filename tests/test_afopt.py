@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,14 @@ def test_maximizer_respects_wide_domains() -> None:
         point = from_unit(a)
         assert point.shape == (2,)
         assert np.all(point >= DOMAIN_LOWER) and np.all(point <= DOMAIN_UPPER)
+
+
+@pytest.mark.parametrize("kind", list(AcquisitionKind))
+def test_non_finite_posterior_is_rejected(kind) -> None:
+    model, y_min = _quadratic_model()
+    broken = dataclasses.replace(model, alpha=np.full_like(model.alpha, np.nan))
+    with pytest.raises(ValueError, match="not finite"):
+        maximize_af(kind, broken, y_min, substream(1, "af"))
 
 
 def _scalar_maximize_af(kind, model, y_min, rng) -> np.ndarray:

@@ -206,6 +206,20 @@ def test_run_rejects_an_output_path_that_is_a_file(tmp_path, monkeypatch, capsys
     assert out.read_text() == "not a directory\n"
 
 
+def test_run_rejects_an_unwritable_trajectory_file_before_any_cell(tmp_path, monkeypatch, capsys) -> None:
+    def no_unit(*args):
+        raise AssertionError("a (function, seed) unit ran with an unwritable output file")
+
+    monkeypatch.setattr(runner_mod, "_run_schedules", no_unit)
+    out = tmp_path / "runs"
+    (out / "trajectories.jsonl").mkdir(parents=True)
+    assert _run(out) == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot write {out / 'trajectories.jsonl'}" in captured.err
+    assert "Traceback" not in captured.err
+    assert (out / "trajectories.jsonl").is_dir()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_run_rejects_a_worker_count_below_one(tmp_path, monkeypatch, capsys, workers) -> None:
     def no_unit(*args):

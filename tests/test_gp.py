@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dtrtrs
 
 from afsched import gp
 from afsched.gp import (
@@ -31,6 +32,21 @@ def kernel_matern52(a: np.ndarray, b: np.ndarray, params: KernelParams) -> float
     sq = float(scaled @ scaled)
     r = math.sqrt(sq)
     return params.signal_variance * (1.0 + math.sqrt(5.0) * r + (5.0 / 3.0) * sq) * math.exp(-math.sqrt(5.0) * r)
+
+
+def _cross_kernel(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
+    """Oracle: the Matern 5/2 kernel matrix between row sets a (m, d) and b (n, d).
+
+    The code predict_batch ran before GpModel carried the scaled training
+    rows: both row sets are scaled and normed on every call.
+    """
+    ls = params.lengthscales
+    asq = a / ls
+    bsq = b / ls
+    sq = np.sum(asq * asq, axis=1)[:, None] + np.sum(bsq * bsq, axis=1)[None, :] - 2.0 * asq @ bsq.T
+    np.maximum(sq, 0.0, out=sq)
+    r = np.sqrt(sq)
+    return params.signal_variance * (1.0 + math.sqrt(5.0) * r + (5.0 / 3.0) * sq) * np.exp(-math.sqrt(5.0) * r)
 
 
 def predict(model, x: np.ndarray) -> tuple[float, float]:
@@ -288,7 +304,7 @@ def test_predict_batch_equals_the_triangular_solve_and_rejects_a_singular_factor
         model = build_model(x, y, params)
         queries = rng.random((m, 2))
         _, stds = predict_batch(model, queries)
-        k_star = gp._cross_kernel(queries, model.train_x, params)
+        k_star = _cross_kernel(queries, model.train_x, params)
         v = solve_triangular(model.chol, k_star.T, lower=True, check_finite=False)
         var = np.maximum(params.signal_variance + params.noise_variance - np.einsum("ij,ij->j", v, v), 0.0)
         assert stds.tobytes() == (model.y_std * np.sqrt(var)).tobytes()
@@ -296,6 +312,102 @@ def test_predict_batch_equals_the_triangular_solve_and_rejects_a_singular_factor
     chol[3, 3] = 0.0
     with pytest.raises(np.linalg.LinAlgError, match="info=4"):
         predict_batch(dataclasses.replace(model, chol=chol), queries)
+
+
+def _uncached_predict_batch(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: predict_batch as it was before GpModel carried its posterior constants."""
+    k_star = _cross_kernel(x, model.train_x, model.params)
+    mean_s = k_star @ model.alpha
+    v, info = dtrtrs(model.chol, k_star.T, lower=1)
+    assert info == 0
+    prior_var = model.params.signal_variance + model.params.noise_variance
+    var_s = prior_var - np.einsum("ij,ij->j", v, v)
+    np.maximum(var_s, 0.0, out=var_s)
+    return model.y_mean + model.y_std * mean_s, model.y_std * np.sqrt(var_s)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_predict_batch_matches_the_uncached_kernel_bit_for_bit(d) -> None:
+    rng = np.random.default_rng([41, d])
+    for n in (6, 21, 46):
+        x = rng.random((n, d))
+        y = np.sin(4.0 * x).sum(axis=1) + rng.normal(0.0, 0.1, n)
+        model = fit(x, y, restarts=2, rng=n)
+        for m in (1, 2 * d, 1024):
+            queries = rng.random((m, d))
+            means, stds = predict_batch(model, queries)
+            ref_means, ref_stds = _uncached_predict_batch(model, queries)
+            assert means.tobytes() == ref_means.tobytes(), (n, m)
+            assert stds.tobytes() == ref_stds.tobytes(), (n, m)
+
+
+def _fit_ascents(monkeypatch, x: np.ndarray, y: np.ndarray, restarts: int) -> list[tuple]:
+    """(objective, x0, bounds) of every L-BFGS-B ascent that fit(x, y) runs."""
+    ascents = []
+    real_minimize = gp.minimize
+
+    def record(fun, x0, bounds, maxiter):
+        ascents.append((fun, np.array(x0), bounds))
+        return real_minimize(fun, x0, bounds, maxiter)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gp, "minimize", record)
+        fit(x, y, restarts=restarts, rng=0)
+    return ascents
+
+
+def _assert_minimize_matches_scipy(fun, x0, bounds, maxiter):
+    """gp.minimize against scipy.optimize.minimize, bit for bit; returns scipy's result."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    ours = gp.minimize(fun, x0, bounds, maxiter)
+    ref = scipy_minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds, options={"maxiter": maxiter})
+    assert ours.x.tobytes() == ref.x.tobytes()
+    assert ours.fun == ref.fun
+    assert (ours.nfev, ours.nit, ours.success, ours.message) == (ref.nfev, ref.nit, ref.success, ref.message)
+    return ref
+
+
+def test_minimize_matches_scipy_lbfgsb_bit_for_bit(monkeypatch) -> None:
+    # Likelihood ascents on a sphere, as on f1: at this n most of them end with
+    # noise at its floor, and many with the line search failing on round-off.
+    messages = []
+    for d in (1, 2, 5):
+        rng = np.random.default_rng([43, d])
+        x = rng.random((30, d))
+        y = ((x - 0.3) ** 2).sum(axis=1)
+        for fun, x0, bounds in _fit_ascents(monkeypatch, x, y, restarts=6):
+            for maxiter in (200, 3):
+                messages.append(_assert_minimize_matches_scipy(fun, x0, bounds, maxiter).message)
+    assert any(m.startswith("CONVERGENCE") for m in messages)
+    assert any(m.startswith("ABNORMAL") for m in messages)
+    assert any(m == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT" for m in messages)
+
+
+def test_minimize_matches_scipy_on_a_failing_objective(monkeypatch) -> None:
+    # Where the prior variance sv + nv exceeds 3, the Cholesky "fails", so the
+    # objective returns its 1e25 failure value with a zero gradient there.
+    real_chol = gp._chol_with_jitter
+
+    def chol_failing_at_large_variance(k_noisy):
+        if k_noisy[0, 0] > 3.0:
+            raise GpFitError("Cholesky factorization failed up to jitter 0.0001")
+        return real_chol(k_noisy)
+
+    monkeypatch.setattr(gp, "_chol_with_jitter", chol_failing_at_large_variance)
+    rng = np.random.default_rng(47)
+    x = rng.random((12, 2))
+    y = np.sin(5.0 * x[:, 0]) + x[:, 1]
+    values = []
+    for fun, x0, bounds in _fit_ascents(monkeypatch, x, y, restarts=8):
+
+        def recorded(theta, fun=fun):
+            value, grad = fun(theta)
+            values.append(value)
+            return value, grad
+
+        _assert_minimize_matches_scipy(recorded, x0, bounds, 200)
+    assert gp._FAILED_OBJECTIVE in values
 
 
 def test_cholesky_reconstructs_noisy_kernel() -> None:

@@ -280,6 +280,49 @@ def test_fit_failure_at_a_shared_node_fails_only_the_schedules_below_it(monkeypa
         run_trial("f1", "ee75", 1, cfg)
 
 
+def test_any_exception_in_a_step_fails_only_the_schedules_below_it(monkeypatch, per_schedule_trials) -> None:
+    # maximize_af raises at step 3 for PI only: every schedule whose third choice
+    # is PI fails there, with the exception's type in the message; the others
+    # finish with the same bits as when nothing fails.
+    cfg = ExperimentConfig(**{**_TRIE, "seeds": (1,)})
+    original = runner_mod.maximize_af
+
+    def maximize_af(kind, model, y_min, rng):
+        if kind is AcquisitionKind.PI and model.train_x.shape[0] == cfg.doe_size + 2:
+            raise np.linalg.LinAlgError("forced failure")
+        return original(kind, model, y_min, rng)
+
+    monkeypatch.setattr(runner_mod, "maximize_af", maximize_af)
+    below = {s for s in cfg.schedules if kind_at(s, 3, cfg.bo_evals, 1) is AcquisitionKind.PI}
+    assert below and below != set(cfg.schedules)
+
+    records = run_grid(cfg)
+    for record in records:
+        if record.schedule_name in below:
+            assert record == CellFailure(
+                "f1", record.schedule_name, 1, 2, step=3, message="LinAlgError: forced failure"
+            )
+        else:
+            assert _fingerprint(record) == _fingerprint(per_schedule_trials[(record.schedule_name, 1)])
+    name = sorted(below)[0]
+    with pytest.raises(TrialError, match=f"f1/{name}/seed=1 failed at step 3: LinAlgError: forced failure"):
+        run_trial("f1", name, 1, cfg)
+
+
+def test_an_exception_in_the_evaluation_fails_every_schedule_of_that_branch(monkeypatch) -> None:
+    cfg = _config(seeds=(0,), schedules=("ei", "pi"))
+
+    def evaluate(inst, x):
+        raise FloatingPointError("forced failure")
+
+    monkeypatch.setattr(runner_mod, "evaluate", evaluate)
+    records = run_grid(cfg)
+    assert records == [
+        CellFailure(cfg.functions[0], name, 0, cfg.dim, step=1, message="FloatingPointError: forced failure")
+        for name in ("ei", "pi")
+    ]
+
+
 _BLAS_THREADS_IN_TRIALS = """
 import ctypes, json, os
 import afsched.runner as runner
