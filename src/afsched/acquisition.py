@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import erf
 
-__all__ = ["AcquisitionKind", "std_normal_cdf", "std_normal_pdf", "scores"]
+__all__ = ["AcquisitionKind", "scores"]
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -30,12 +30,12 @@ class AcquisitionKind(Enum):
     PI = "pi"
 
 
-def std_normal_cdf(z):
+def _std_normal_cdf(z):
     """Standard normal CDF, erf-based; accepts scalars or arrays."""
     return 0.5 * (1.0 + erf(np.asarray(z, dtype=float) / _SQRT2))
 
 
-def std_normal_pdf(z):
+def _std_normal_pdf(z):
     """Standard normal density; accepts scalars or arrays."""
     z = np.asarray(z, dtype=float)
     return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
@@ -50,10 +50,10 @@ def scores(kind: AcquisitionKind, means: np.ndarray, stds: np.ndarray, y_min: fl
     positive = sigma > 0.0
     z = np.divide(delta, sigma, out=np.zeros(delta.shape), where=positive)
     if kind is AcquisitionKind.EI:
-        value = delta * std_normal_cdf(z)
-        value += sigma * std_normal_pdf(z)
+        value = delta * _std_normal_cdf(z)
+        value += sigma * _std_normal_pdf(z)
         # The expectation is nonnegative; clip roundoff from the two-term form.
         return np.where(positive, np.maximum(value, 0.0), 0.0)
     if kind is AcquisitionKind.PI:
-        return np.where(positive, std_normal_cdf(z), (delta > 0.0).astype(float))
+        return np.where(positive, _std_normal_cdf(z), (delta > 0.0).astype(float))
     raise ValueError(f"unknown acquisition kind: {kind!r}")

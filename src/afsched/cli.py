@@ -10,7 +10,6 @@ from .benchfn import FUNCTION_IDS
 from .runner import (
     CellFailure,
     ExperimentConfig,
-    TrialTrajectory,
     aggregate,
     read_aggregate,
     read_records,
@@ -68,19 +67,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = ExperimentConfig(
-            dim=args.dim,
-            seeds=args.seeds,
-            functions=args.functions,
-            schedules=args.schedules,
-            doe_size=args.doe,
-            bo_evals=args.evals,
-            gp_restarts=args.gp_restarts,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = ExperimentConfig(
+        dim=args.dim,
+        seeds=args.seeds,
+        functions=args.functions,
+        schedules=args.schedules,
+        doe_size=args.doe,
+        bo_evals=args.evals,
+        gp_restarts=args.gp_restarts,
+    )
 
     def progress(record):
         if isinstance(record, CellFailure):
@@ -95,19 +90,16 @@ def _cmd_run(args) -> int:
     # before the output file is touched. Opening the file to append tests
     # that it can be written without changing it.
     if args.workers < 1:
-        print(f"error: workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
     path = args.out / "trajectories.jsonl"
     try:
         args.out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return 2
+        raise OSError(f"cannot create output directory: {exc}") from exc
     try:
         open(path, "a", encoding="utf-8").close()
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return 2
+        raise OSError(f"cannot write {path}: {exc}") from exc
     # A failure inside a cell becomes a CellFailure record, so the grid runs to the end.
     records = run_grid(config, workers=args.workers, progress=progress)
     write_records(records, path)
@@ -122,34 +114,9 @@ def _cmd_run(args) -> int:
 def _cmd_aggregate(args) -> int:
     files = sorted(args.in_dir.glob("*.jsonl"))
     if not files:
-        print(f"error: no trajectory files (*.jsonl) in {args.in_dir}", file=sys.stderr)
-        return 1
-    trajectories: list[TrialTrajectory] = []
-    try:
-        for path in files:
-            for record in read_records(path):
-                if isinstance(record, TrialTrajectory):
-                    trajectories.append(record)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not trajectories:
-        print("error: no successful trajectories to aggregate", file=sys.stderr)
-        return 1
-    dims = {traj.dim for traj in trajectories}
-    if len(dims) > 1:
-        print(f"error: mixed dimensions {sorted(dims)} are not comparable", file=sys.stderr)
-        return 1
-    try:
-        report = aggregate(trajectories)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        write_aggregate(report, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no trajectory files (*.jsonl) in {args.in_dir}")
+    report = aggregate([record for path in files for record in read_records(path)])
+    write_aggregate(report, args.out)
     if report.degenerate:
         print(f"warning: degenerate normalization (all values equal) for: {', '.join(report.degenerate)}")
     print(f"wrote {args.out / 'curves.csv'} and {args.out / 'finals.csv'}")
@@ -157,27 +124,25 @@ def _cmd_aggregate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        curves, finals = read_aggregate(args.agg)
-        functions = write_report(curves, finals, args.out)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    curves, finals = read_aggregate(args.agg)
+    functions = write_report(curves, finals, args.out)
     print(f"wrote {len(functions)} curve/violin file pairs and average_curve.csv to {args.out}")
     return 0
 
 
+# Each command and the exit code of its failure: bad input or a file that
+# cannot be read or written.
+_COMMANDS = {"run": (_cmd_run, 2), "aggregate": (_cmd_aggregate, 1), "report": (_cmd_report, 1)}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "aggregate":
-        return _cmd_aggregate(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    args = _build_parser().parse_args(argv)
+    command, error_code = _COMMANDS[args.command]
+    try:
+        return command(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return error_code
 
 
 if __name__ == "__main__":

@@ -20,7 +20,9 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import groupby, repeat
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -342,8 +344,9 @@ def log_regret(trajectory: TrialTrajectory) -> np.ndarray:
     return np.log10(np.maximum(regret, REGRET_CLAMP))
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
+    """One row of curves.csv, in its column order."""
+
     function_id: str
     schedule_name: str
     step: int
@@ -351,8 +354,9 @@ class CurvePoint:
     ci_halfwidth: float
 
 
-@dataclass(frozen=True)
-class FinalPoint:
+class FinalPoint(NamedTuple):
+    """One row of finals.csv, in its column order."""
+
     function_id: str
     schedule_name: str
     seed: int
@@ -374,15 +378,23 @@ def _rank(value: str, order: tuple[str, ...]) -> tuple[int, str]:
     return (order.index(value) if value in order else len(order), value)
 
 
-def aggregate(trajectories: list[TrialTrajectory]) -> AggregateReport:
+def aggregate(records: list[TrialTrajectory | CellFailure]) -> AggregateReport:
     """Min-max normalize log-regrets per function and average over seeds.
 
-    Bounds cover all schedules, seeds and steps present for a function; the
+    Takes records as run_grid and read_records return them and skips the
+    CellFailures. The trajectories left must share one dimension, and the
+    cells of each (function, schedule) need >= 2 seeds and one step count of
+    at least 1; otherwise, or if no trajectory is left, ValueError. Bounds
+    cover all schedules, seeds and steps present for a function; the
     confidence halfwidth is 1.96 * sample std / sqrt(n_seeds). Functions whose
     values are all equal normalize to 0 and are flagged as degenerate.
     """
+    trajectories = [r for r in records if isinstance(r, TrialTrajectory)]
     if not trajectories:
-        raise ValueError("no trajectories to aggregate")
+        raise ValueError("no successful trajectories to aggregate")
+    dims = {traj.dim for traj in trajectories}
+    if len(dims) > 1:
+        raise ValueError(f"mixed dimensions {sorted(dims)} are not comparable")
     by_cell: dict[tuple[str, str, int], np.ndarray] = {}
     for traj in trajectories:
         key = (traj.function_id, traj.schedule_name, traj.seed)
@@ -391,39 +403,30 @@ def aggregate(trajectories: list[TrialTrajectory]) -> AggregateReport:
         by_cell[key] = log_regret(traj)
 
     # Cells in table order: functions and schedules by rank, then seeds.
-    seeds_by_fn: dict[str, dict[str, list[int]]] = {}
-    for fid, sched, seed in sorted(
-        by_cell, key=lambda key: (_rank(key[0], FUNCTION_IDS), _rank(key[1], SCHEDULE_NAMES), key[2])
-    ):
-        seeds_by_fn.setdefault(fid, {}).setdefault(sched, []).append(seed)
-    for fid, seeds_by_sched in seeds_by_fn.items():
-        for sched, seeds in seeds_by_sched.items():
-            if len(seeds) < 2:
-                raise ValueError(
-                    f"need >= 2 seeds per (function, schedule) for a CI; {(fid, sched)} has {len(seeds)}"
-                )
-
+    cells = sorted(by_cell, key=lambda key: (_rank(key[0], FUNCTION_IDS), _rank(key[1], SCHEDULE_NAMES), key[2]))
     bounds: dict[str, tuple[float, float]] = {}
     degenerate: list[str] = []
     curves: list[CurvePoint] = []
     finals: list[FinalPoint] = []
-    for fid, seeds_by_sched in seeds_by_fn.items():
-        values = np.concatenate(
-            [by_cell[(fid, sched, seed)] for sched, seeds in seeds_by_sched.items() for seed in seeds]
-        )
-        lo, hi = float(values.min()), float(values.max())
+    for fid, fn_cells in groupby(cells, key=itemgetter(0)):
+        block = []  # (schedule, seeds, log-regret matrix with one row per seed)
+        for sched, group in groupby(fn_cells, key=itemgetter(1)):
+            seeds = [seed for _, _, seed in group]
+            if len(seeds) < 2:
+                raise ValueError(f"need >= 2 seeds per (function, schedule) for a CI; {(fid, sched)} has {len(seeds)}")
+            rows = [by_cell[(fid, sched, seed)] for seed in seeds]
+            counts = sorted({len(row) for row in rows})
+            if len(counts) > 1 or counts[0] == 0:
+                raise ValueError(f"the seeds of {(fid, sched)} need one step count >= 1; found {counts}")
+            block.append((sched, seeds, np.vstack(rows)))
+        lo = float(np.min([matrix.min() for _, _, matrix in block]))
+        hi = float(np.max([matrix.max() for _, _, matrix in block]))
         bounds[fid] = (lo, hi)
         span = hi - lo
         if span <= 0.0:
             degenerate.append(fid)
-
-        def normalize(v: np.ndarray) -> np.ndarray:
-            if span <= 0.0:
-                return np.zeros_like(v)
-            return (v - lo) / span
-
-        for sched, seeds in seeds_by_sched.items():
-            matrix = np.vstack([normalize(by_cell[(fid, sched, seed)]) for seed in seeds])
+        for sched, seeds, matrix in block:
+            matrix = np.zeros_like(matrix) if span <= 0.0 else (matrix - lo) / span
             means = matrix.mean(axis=0)
             halfwidths = 1.96 * matrix.std(axis=0, ddof=1) / np.sqrt(len(seeds))
             for t in range(matrix.shape[1]):
@@ -477,6 +480,11 @@ def _record_from_json(payload: dict) -> TrialTrajectory | CellFailure:
             step=int(payload["error"]["step"]),
             message=payload["error"]["message"],
         )
+    columns = {name: len(payload[name]) for name in ("af", "x", "y", "incumbent")}
+    if len(set(columns.values())) > 1:
+        raise ValueError(f"step columns differ in length: {columns}")
+    if len(payload["doe_x"]) != len(payload["doe_y"]):
+        raise ValueError(f"doe_x has {len(payload['doe_x'])} rows but doe_y has {len(payload['doe_y'])} entries")
     steps = tuple(
         StepRecord(
             step=t + 1,
@@ -538,16 +546,8 @@ def _write_csv(path, header, rows) -> None:
 def write_aggregate(report: AggregateReport, out_dir) -> None:
     """Write curves.csv, finals.csv and meta.json under out_dir."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out_dir / "curves.csv",
-        CURVE_COLUMNS,
-        [(c.function_id, c.schedule_name, c.step, c.mean, c.ci_halfwidth) for c in report.curves],
-    )
-    _write_csv(
-        out_dir / "finals.csv",
-        FINAL_COLUMNS,
-        [(f.function_id, f.schedule_name, f.seed, f.value) for f in report.finals],
-    )
+    _write_csv(out_dir / "curves.csv", CURVE_COLUMNS, report.curves)
+    _write_csv(out_dir / "finals.csv", FINAL_COLUMNS, report.finals)
     meta = {
         "bounds": {fid: list(b) for fid, b in sorted(report.bounds.items())},
         "degenerate": sorted(report.degenerate),
@@ -604,18 +604,9 @@ def write_report(curves: list[CurvePoint], finals: list[FinalPoint], out_dir) ->
         finals, key=lambda f: (_rank(f.function_id, FUNCTION_IDS), _rank(f.schedule_name, SCHEDULE_NAMES), f.seed)
     )
     functions = sorted(curve_fns, key=lambda f: _rank(f, FUNCTION_IDS))
-
-    for fid in functions:
-        _write_csv(
-            out_dir / f"curve_{fid}.csv",
-            CURVE_COLUMNS,
-            [(c.function_id, c.schedule_name, c.step, c.mean, c.ci_halfwidth) for c in curves if c.function_id == fid],
-        )
-        _write_csv(
-            out_dir / f"violin_{fid}.csv",
-            FINAL_COLUMNS,
-            [(f.function_id, f.schedule_name, f.seed, f.value) for f in finals if f.function_id == fid],
-        )
+    for prefix, columns, rows in (("curve", CURVE_COLUMNS, curves), ("violin", FINAL_COLUMNS, finals)):
+        for fid, fn_rows in groupby(rows, key=attrgetter("function_id")):
+            _write_csv(out_dir / f"{prefix}_{fid}.csv", columns, fn_rows)
 
     by_key: dict[tuple[str, int], list[float]] = {}
     for c in curves:

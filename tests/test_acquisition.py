@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from afsched.acquisition import AcquisitionKind, scores, std_normal_cdf
+from afsched.acquisition import AcquisitionKind, scores
 
 EI = AcquisitionKind.EI
 PI = AcquisitionKind.PI
@@ -26,8 +26,13 @@ def pi(delta: float, sigma: float) -> float:
     return _score(PI, delta, sigma)
 
 
+def cdf(z: float) -> float:
+    """The standard normal CDF as PI computes it: Phi(z) is PI at margin z and sigma 1."""
+    return pi(z, 1.0)
+
+
 def test_cdf_at_zero_is_half() -> None:
-    assert std_normal_cdf(0.0) == 0.5
+    assert cdf(0.0) == 0.5
 
 
 def test_cdf_matches_quadrature_of_the_density() -> None:
@@ -38,16 +43,16 @@ def test_cdf_matches_quadrature_of_the_density() -> None:
 
     for z in (-3.0, -1.2, -0.3, 0.4, 1.959964, 2.8):
         expected, _ = quad(density, -np.inf, z)
-        assert abs(float(std_normal_cdf(z)) - expected) < 1e-8
+        assert abs(cdf(z) - expected) < 1e-8
 
 
 def test_cdf_hits_975_quantile() -> None:
-    assert abs(float(std_normal_cdf(1.959964)) - 0.975) < 1e-6
+    assert abs(cdf(1.959964) - 0.975) < 1e-6
 
 
 def test_cdf_reflection_identity() -> None:
     for z in (0.1, 0.5, 1.3, 2.7, 4.0):
-        assert abs(float(std_normal_cdf(-z)) - (1.0 - float(std_normal_cdf(z)))) < 1e-12
+        assert abs(cdf(-z) - (1.0 - cdf(z))) < 1e-12
 
 
 def test_pi_symmetric_case() -> None:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import afsched.cli as cli_mod
@@ -155,6 +157,19 @@ def test_report_averages_across_functions_in_table_order(tmp_path) -> None:
         assert float(avg.split(",")[2]) == (m1 + m5) / 2.0
 
 
+def test_report_files_split_the_aggregate_tables_by_function(tmp_path) -> None:
+    runs = tmp_path / "runs"
+    assert _run(runs, schedules="pi,ei", functions="f5,f1") == 0
+    agg, rep = tmp_path / "agg", tmp_path / "report"
+    assert main(["aggregate", "--in", str(runs), "--out", str(agg)]) == 0
+    assert main(["report", "--agg", str(agg), "--out", str(rep)]) == 0
+    for table, prefix in (("curves.csv", "curve"), ("finals.csv", "violin")):
+        header, *body = (agg / table).read_text().splitlines()
+        parts = [(rep / f"{prefix}_{fid}.csv").read_text().splitlines() for fid in ("f1", "f5")]
+        assert all(part[0] == header for part in parts)
+        assert [row for part in parts for row in part[1:]] == body
+
+
 def test_run_exits_nonzero_when_every_cell_fails(tmp_path, monkeypatch, capsys) -> None:
     def all_failures(config, workers=1, progress=None):
         records = [
@@ -232,6 +247,17 @@ def test_run_rejects_a_worker_count_below_one(tmp_path, monkeypatch, capsys, wor
     assert not (tmp_path / "runs" / "trajectories.jsonl").exists()
 
 
+def test_run_reports_a_write_failure_after_the_grid(tmp_path, monkeypatch, capsys) -> None:
+    def write_records(records, path):
+        raise OSError(f"disk full writing {path}")
+
+    monkeypatch.setattr(cli_mod, "write_records", write_records)
+    assert _run(tmp_path / "runs") == 2
+    captured = capsys.readouterr()
+    assert f"error: disk full writing {tmp_path / 'runs' / 'trajectories.jsonl'}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_run_worker_invariance_bytes(tmp_path) -> None:
     a, b = tmp_path / "w1", tmp_path / "w2"
     args = [
@@ -282,9 +308,16 @@ def test_aggregate_rejects_malformed_jsonl_lines(tmp_path, capsys) -> None:
     runs = tmp_path / "runs"
     assert _run(runs) == 0
     good = (runs / "trajectories.jsonl").read_text().splitlines()
+    extra_step = json.loads(good[0])
+    for name in ("x", "y", "incumbent"):
+        extra_step[name].append(extra_step[name][-1])
+    short_doe_x = json.loads(good[0])
+    short_doe_x["doe_x"].pop()
     cases = [
         (good[0][: len(good[0]) // 2], "1: "),
         (good[0] + "\n" + '{"function": "f1", "schedule": "ei", "seed": 0, "dim": 2}', "2: missing field"),
+        (json.dumps(extra_step), "1: step columns differ in length: {'af': 3, 'x': 4, 'y': 4, 'incumbent': 4}"),
+        (json.dumps(short_doe_x), "1: doe_x has 3 rows but doe_y has 4 entries"),
     ]
     capsys.readouterr()
     for i, (text, message) in enumerate(cases):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -441,6 +442,26 @@ def test_aggregate_bounds_use_only_given_schedules() -> None:
     full = aggregate(ei_trajs + pi_trajs)
     assert subset.bounds["f1"] == (0.0, 2.0)
     assert full.bounds["f1"] == (0.0, 6.0)
+
+
+def test_aggregate_skips_failures_and_rejects_mixed_dimensions() -> None:
+    trajs = [_synthetic_trajectory([10.0, 0.1], seed=0), _synthetic_trajectory([10.0, 1.0], seed=1)]
+    failure = CellFailure("f1", "pi", 0, 2, step=1, message="boom")
+    assert aggregate([failure, *trajs]) == aggregate(trajs)
+    with pytest.raises(ValueError, match="no successful trajectories to aggregate"):
+        aggregate([failure])
+    with pytest.raises(ValueError, match=r"mixed dimensions \[2, 3\]"):
+        aggregate([trajs[0], dataclasses.replace(trajs[1], dim=3)])
+
+
+def test_aggregate_names_a_cell_group_whose_step_counts_differ() -> None:
+    short = [_synthetic_trajectory([10.0, 1.0], seed=s) for s in (0, 1)]
+    long = [_synthetic_trajectory([10.0, 1.0, 0.1], seed=s) for s in (2, 3)]
+    with pytest.raises(ValueError, match=r"\('f1', 'ei'\) need one step count >= 1; found \[2, 3\]"):
+        aggregate(short + long)
+    empty = [dataclasses.replace(traj, steps=()) for traj in short]
+    with pytest.raises(ValueError, match=r"\('f1', 'ei'\) need one step count >= 1; found \[0\]"):
+        aggregate(empty)
 
 
 def test_records_round_trip_through_jsonl(tmp_path) -> None:
