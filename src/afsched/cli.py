@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 from .benchfn import FUNCTION_IDS
+from .gp import GpFitError, check_minimize
 from .runner import (
     CellFailure,
     ExperimentConfig,
@@ -86,11 +87,13 @@ def _cmd_run(args) -> int:
                 f"final_regret={record.final_incumbent - record.f_opt:.6g}"
             )
 
-    # A bad worker count or output path fails here, before any cell runs and
+    # A bad worker count, a scipy whose L-BFGS-B binding minimize cannot
+    # drive, or a bad output path fails here, before any cell runs and
     # before the output file is touched. Opening the file to append tests
     # that it can be written without changing it.
     if args.workers < 1:
         raise ValueError(f"workers must be >= 1, got {args.workers}")
+    check_minimize()
     path = args.out / "trajectories.jsonl"
     try:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -130,8 +133,8 @@ def _cmd_report(args) -> int:
     return 0
 
 
-# Each command and the exit code of its failure: bad input or a file that
-# cannot be read or written.
+# Each command and the exit code of its failure: bad input, a file that
+# cannot be read or written, or (for run) a failed check_minimize.
 _COMMANDS = {"run": (_cmd_run, 2), "aggregate": (_cmd_aggregate, 1), "report": (_cmd_report, 1)}
 
 
@@ -140,7 +143,7 @@ def main(argv=None) -> int:
     command, error_code = _COMMANDS[args.command]
     try:
         return command(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, GpFitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return error_code
 

@@ -29,6 +29,7 @@ __all__ = [
     "GpModel",
     "log_marginal_likelihood",
     "fit",
+    "check_minimize",
     "build_model",
     "predict_batch",
 ]
@@ -340,6 +341,27 @@ def minimize(fun, x0: np.ndarray, bounds, maxiter: int) -> OptimizeResult:
         success=bool(task[0] == 4),  # CONVERGENCE
         message=f"{status_messages[task[0]]}: {task_messages[task[1]]}",
     )
+
+
+def check_minimize() -> None:
+    """Raise GpFitError unless minimize finds the minimum of a 2-d quadratic.
+
+    minimize calls scipy's private L-BFGS-B binding `setulb` in its scipy
+    1.15+ signature; a scipy that changed it would fail every fit. Call this
+    before a grid to fail once, with the cause, instead of once per cell.
+    """
+    target = np.array([0.25, -0.5])
+
+    def quadratic(x: np.ndarray) -> tuple[float, np.ndarray]:
+        return float((x - target) @ (x - target)), 2.0 * (x - target)
+
+    binding = "scipy's L-BFGS-B binding setulb"
+    try:
+        result = minimize(quadratic, np.zeros(2), [(-1.0, 1.0)] * 2, maxiter=100)
+    except Exception as exc:  # whatever a changed binding raises, name it
+        raise GpFitError(f"{binding} fails on a 2-d quadratic: {type(exc).__name__}: {exc}") from exc
+    if not (result.success and np.allclose(result.x, target, rtol=0.0, atol=1e-6)):
+        raise GpFitError(f"{binding} misses the minimum of a 2-d quadratic: x={result.x.tolist()}, {result.message}")
 
 
 def fit(

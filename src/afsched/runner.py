@@ -25,6 +25,7 @@ from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 import numpy as np
+import orjson
 
 from .acquisition import AcquisitionKind
 from .afopt import initial_design, maximize_af
@@ -92,6 +93,10 @@ class ExperimentConfig:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ValueError(f"duplicate {name}: {', '.join(map(str, dict.fromkeys(repeated)))}")
+        # Signed 64-bit seeds read back exactly from JSON; orjson turns an integer beyond 2**64 into a float.
+        outside = [seed for seed in self.seeds if not -(2**63) <= seed < 2**63]
+        if outside:
+            raise ValueError(f"seeds must lie in [-2**63, 2**63); found {', '.join(map(str, outside))}")
         if self.gp_restarts < 1:
             raise ValueError("gp_restarts must be >= 1")
         for fid in self.functions:
@@ -139,7 +144,7 @@ class TrialTrajectory:
 
 @dataclass(frozen=True)
 class CellFailure:
-    """A cell that aborted; `step` names the surrogate step that failed."""
+    """A cell that aborted; `step` names the surrogate step that failed, 0 for the design phase."""
 
     function_id: str
     schedule_name: str
@@ -224,16 +229,20 @@ def _run_schedules(
     The walk goes over the trie of the schedules' acquisition sequences: each
     node fits the GP once on its shared data, then maximizes and evaluates
     once per acquisition kind its schedules choose next. An exception in the
-    fit becomes a CellFailure at that step for every schedule below the node,
+    design phase becomes a CellFailure at step 0 for every schedule, one in
+    the fit a CellFailure at that step for every schedule below the node,
     and one in maximize_af or evaluate for every schedule of that kind's
     branch; the other schedules go on.
     """
     total = config.bo_evals
     # kind_at is pure, so an unknown name raises here, before any fit.
     kinds = {name: [kind_at(name, t, total, seed) for t in range(1, total + 1)] for name in schedule_names}
-    inst = make_instance(function_id, config.dim, seed)
-    doe_x = from_unit(initial_design(config.doe_size, config.dim, substream(seed, "doe")))
-    doe_y = evaluate_many(inst, doe_x)
+    try:
+        inst = make_instance(function_id, config.dim, seed)
+        doe_x = from_unit(initial_design(config.doe_size, config.dim, substream(seed, "doe")))
+        doe_y = evaluate_many(inst, doe_x)
+    except Exception as exc:  # a failed design fails the pair's cells, never the grid
+        return [failure for _, failure in _failures(function_id, schedule_names, seed, config.dim, 0, exc)]
     # The GP trains on the recorded points: to_unit(from_unit(u)) != u in the last bit.
     doe_unit = list(to_unit(doe_x))
 
@@ -290,7 +299,7 @@ def _run_schedules(
     return [records[name] for name in schedule_names]
 
 
-def _failures(function_id: str, names: list[str], seed: int, dim: int, step: int, exc: Exception):
+def _failures(function_id: str, names: list[str] | tuple[str, ...], seed: int, dim: int, step: int, exc: Exception):
     """(name, CellFailure) for each named schedule; the message names the exception's type.
 
     A GpFitError keeps its own message, which already says what failed.
@@ -470,14 +479,35 @@ def _record_to_json(record: TrialTrajectory | CellFailure) -> dict:
     }
 
 
+# Acquisition kinds by their JSON value.
+_AF_BY_VALUE = {kind.value: kind for kind in AcquisitionKind}
+
+
+def _json_int(value, name: str) -> int:
+    """value if it is a JSON integer; ValueError otherwise (a float, string or boolean is not)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, found {value!r}")
+    return value
+
+
+def _points(payload: dict, name: str, dim: int) -> np.ndarray:
+    """payload[name], a list of points, as an array of shape (points, dim); ValueError if a row has another length."""
+    rows = payload[name]
+    lengths = sorted(set(map(len, rows)) - {dim})
+    if lengths:
+        raise ValueError(f"{name} has rows of length {lengths}, but dim is {dim}")
+    return np.array(rows, dtype=float).reshape(len(rows), dim)
+
+
 def _record_from_json(payload: dict) -> TrialTrajectory | CellFailure:
+    seed, dim = _json_int(payload["seed"], "seed"), _json_int(payload["dim"], "dim")
     if "error" in payload:
         return CellFailure(
             function_id=payload["function"],
             schedule_name=payload["schedule"],
-            seed=int(payload["seed"]),
-            dim=int(payload["dim"]),
-            step=int(payload["error"]["step"]),
+            seed=seed,
+            dim=dim,
+            step=_json_int(payload["error"]["step"], "error step"),
             message=payload["error"]["message"],
         )
     columns = {name: len(payload[name]) for name in ("af", "x", "y", "incumbent")}
@@ -485,30 +515,38 @@ def _record_from_json(payload: dict) -> TrialTrajectory | CellFailure:
         raise ValueError(f"step columns differ in length: {columns}")
     if len(payload["doe_x"]) != len(payload["doe_y"]):
         raise ValueError(f"doe_x has {len(payload['doe_x'])} rows but doe_y has {len(payload['doe_y'])} entries")
+    try:
+        af = [_AF_BY_VALUE[value] for value in payload["af"]]
+    except (KeyError, TypeError):  # not a kind's value: the enum's own ValueError names it
+        af = list(map(AcquisitionKind, payload["af"]))
     steps = tuple(
-        StepRecord(
-            step=t + 1,
-            af=AcquisitionKind(payload["af"][t]),
-            x=np.asarray(payload["x"][t], dtype=float),
-            y=float(payload["y"][t]),
-            incumbent=float(payload["incumbent"][t]),
+        map(
+            StepRecord,
+            range(1, len(af) + 1),
+            af,
+            _points(payload, "x", dim),
+            map(float, payload["y"]),
+            map(float, payload["incumbent"]),
         )
-        for t in range(len(payload["af"]))
     )
     return TrialTrajectory(
         function_id=payload["function"],
         schedule_name=payload["schedule"],
-        seed=int(payload["seed"]),
-        dim=int(payload["dim"]),
+        seed=seed,
+        dim=dim,
         f_opt=float(payload["f_opt"]),
-        doe_x=np.asarray(payload["doe_x"], dtype=float),
+        doe_x=_points(payload, "doe_x", dim),
         doe_y=np.asarray(payload["doe_y"], dtype=float),
         steps=steps,
     )
 
 
 def write_records(records, path) -> None:
-    """One self-describing JSON record per line, in the given order."""
+    """One self-describing JSON record per line, in the given order.
+
+    The bytes are those of json.dumps with sorted keys, which the output's
+    determinism rests on; read_records parses them with orjson.
+    """
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
             handle.write(json.dumps(_record_to_json(record), sort_keys=True))
@@ -516,15 +554,21 @@ def write_records(records, path) -> None:
 
 
 def read_records(path) -> list[TrialTrajectory | CellFailure]:
-    """Records of a write_records file; a malformed line raises ValueError naming path:line."""
+    """Records of a write_records file; a malformed line raises ValueError naming path:line.
+
+    Malformed covers a line that is not UTF-8 or not JSON (NaN and Infinity
+    are not), a missing field, a seed, dim or error step that is not a JSON
+    integer, step or design columns of different lengths and a point whose
+    length is not dim.
+    """
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(_record_from_json(json.loads(line)))
+                records.append(_record_from_json(orjson.loads(line)))
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
             except (ValueError, TypeError, IndexError) as exc:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import afsched.cli as cli_mod
+import afsched.gp as gp_mod
 import afsched.runner as runner_mod
 from afsched.cli import _parse_seeds, main
 from afsched.runner import CellFailure, read_records
@@ -212,6 +213,33 @@ def test_run_rejects_duplicate_seeds(tmp_path, monkeypatch, capsys) -> None:
     assert not (tmp_path / "runs").exists()
 
 
+def test_run_rejects_a_seed_outside_signed_64_bits(tmp_path, monkeypatch, capsys) -> None:
+    _forbid_compute(monkeypatch)
+    assert _run(tmp_path / "runs", seeds=f"0,{2**63}") == 2
+    assert f"error: seeds must lie in [-2**63, 2**63); found {2**63}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_fails_before_any_cell_when_the_lbfgsb_binding_is_broken(tmp_path, monkeypatch, capsys) -> None:
+    def setulb(*args):
+        raise TypeError("setulb() takes 16 positional arguments but 17 were given")
+
+    _forbid_compute(monkeypatch)
+    monkeypatch.setattr(gp_mod, "setulb", setulb)
+    assert _run(tmp_path / "runs") == 2
+    err = capsys.readouterr().err
+    assert "error: scipy's L-BFGS-B binding setulb fails on a 2-d quadratic: TypeError: setulb() takes" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_fails_before_any_cell_when_the_lbfgsb_binding_misses_the_minimum(tmp_path, monkeypatch, capsys) -> None:
+    _forbid_compute(monkeypatch)
+    monkeypatch.setattr(gp_mod, "setulb", lambda *args: None)  # returns without a step or a stop
+    assert _run(tmp_path / "runs") == 2
+    assert "error: scipy's L-BFGS-B binding setulb misses the minimum of a 2-d quadratic" in capsys.readouterr().err
+
+
 def test_run_rejects_an_output_path_that_is_a_file(tmp_path, monkeypatch, capsys) -> None:
     _forbid_compute(monkeypatch)
     out = tmp_path / "runs"
@@ -313,17 +341,36 @@ def test_aggregate_rejects_malformed_jsonl_lines(tmp_path, capsys) -> None:
         extra_step[name].append(extra_step[name][-1])
     short_doe_x = json.loads(good[0])
     short_doe_x["doe_x"].pop()
+
+    def edited(edit) -> str:
+        payload = json.loads(good[0])
+        edit(payload)
+        return json.dumps(payload)
+
+    failure = '{"dim": 2, "error": {"message": "boom", "step": %s}, "function": "f1", "schedule": "ei", "seed": 0}'
     cases = [
         (good[0][: len(good[0]) // 2], "1: "),
         (good[0] + "\n" + '{"function": "f1", "schedule": "ei", "seed": 0, "dim": 2}', "2: missing field"),
         (json.dumps(extra_step), "1: step columns differ in length: {'af': 3, 'x': 4, 'y': 4, 'incumbent': 4}"),
         (json.dumps(short_doe_x), "1: doe_x has 3 rows but doe_y has 4 entries"),
+        # Integers beyond 2**64 parse as floats, so a seed must be a JSON integer to read back exactly.
+        (edited(lambda p: p.update(seed=2**64 + 1)), "1: seed must be a JSON integer, found 1.8446744073709552e+19"),
+        (edited(lambda p: p.update(seed=3.0)), "1: seed must be a JSON integer, found 3.0"),
+        (edited(lambda p: p.update(dim="2")), "1: dim must be a JSON integer, found '2'"),
+        (failure % "1.0", "1: error step must be a JSON integer, found 1.0"),
+        (edited(lambda p: p["x"][1].append(0.5)), "1: x has rows of length [3], but dim is 2"),
+        (edited(lambda p: p["doe_x"][0].pop()), "1: doe_x has rows of length [1], but dim is 2"),
+        (edited(lambda p: p.update(x=[[0.5, 0.5, 0.5]] * 3)), "1: x has rows of length [3], but dim is 2"),
+        (edited(lambda p: p.update(af=["ei", "xx", "pi"])), "1: 'xx' is not a valid AcquisitionKind"),
+        (edited(lambda p: p.update(af=["ei", ["pi"], "pi"])), "1: ['pi'] is not a valid AcquisitionKind"),
+        (edited(lambda p: p.update(f_opt=float("nan"))), "1: "),  # json writes the token NaN; it is not JSON
+        ("\udcff" + good[0], "1: "),  # written below as a byte that is not UTF-8
     ]
     capsys.readouterr()
     for i, (text, message) in enumerate(cases):
         bad = tmp_path / f"bad{i}"
         bad.mkdir()
-        (bad / "t.jsonl").write_text(text + "\n")
+        (bad / "t.jsonl").write_bytes((text + "\n").encode("utf-8", "surrogateescape"))
         assert main(["aggregate", "--in", str(bad), "--out", str(tmp_path / "agg")]) == 1
         assert f"error: {bad / 't.jsonl'}:{message}" in capsys.readouterr().err
 

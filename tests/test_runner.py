@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import afsched
 import afsched.runner as runner_mod
@@ -195,20 +197,49 @@ def test_gp_failure_becomes_a_cell_record(monkeypatch) -> None:
     assert "forced failure" in failure.message
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_design_phase_failure_fails_every_schedule_of_its_pairs_only(monkeypatch, tmp_path, workers) -> None:
+    cfg = _config(functions=("f1", "f5"))
+    clean = run_grid(cfg)
+    evaluate_many = runner_mod.evaluate_many
+
+    def broken(inst, x):
+        if inst.function_id == "f5":
+            raise FloatingPointError("overflow in the design")
+        return evaluate_many(inst, x)
+
+    monkeypatch.setattr(runner_mod, "evaluate_many", broken)
+    records = run_grid(cfg, workers=workers)
+    assert [(r.function_id, r.schedule_name, r.seed) for r in records] == [
+        (r.function_id, r.schedule_name, r.seed) for r in clean
+    ]
+    healthy = [i for i, r in enumerate(clean) if r.function_id == "f1"]
+    assert [_fingerprint(records[i]) for i in healthy] == [_fingerprint(clean[i]) for i in healthy]
+    failed = [r for r in records if r.function_id == "f5"]
+    assert len(failed) == 4
+    assert all(r == CellFailure("f5", r.schedule_name, r.seed, 2, 0, "FloatingPointError: overflow in the design")
+               for r in failed)
+
+
 # Every schedule on one function over a few seeds, long enough for every fork kind.
 _TRIE = dict(dim=2, seeds=(0, 1, 2), functions=("f1",), schedules=SCHEDULE_NAMES, doe_size=4, bo_evals=8, gp_restarts=2)
 
 
 def _fingerprint(record: TrialTrajectory) -> tuple:
-    """Every bit a record carries."""
+    """Every bit a record carries, with the shape of each array."""
     return (
         record.function_id,
         record.schedule_name,
         record.seed,
+        record.dim,
+        np.float64(record.f_opt).tobytes(),
+        record.doe_x.shape,
         record.doe_x.tobytes(),
+        record.doe_y.shape,
         record.doe_y.tobytes(),
+        [rec.step for rec in record.steps],
         [rec.af for rec in record.steps],
-        np.array([rec.x for rec in record.steps]).tobytes(),
+        [(rec.x.shape, rec.x.tobytes()) for rec in record.steps],
         np.array([rec.y for rec in record.steps]).tobytes(),
         record.incumbents.tobytes(),
     )
@@ -480,3 +511,64 @@ def test_records_round_trip_through_jsonl(tmp_path) -> None:
     failure = loaded[-1]
     assert isinstance(failure, CellFailure)
     assert failure.step == 4 and failure.seed == 9
+
+
+# Floats that JSON round trips must keep: signed zero, the subnormal range and the ends of the finite range.
+_EDGE_FLOATS = (-0.0, 0.0, 5e-324, -1e-310, -2.2250738585072014e-308, 1e-300, 1e16, 1e308, -1e308, 1.7976931348623157e308)
+_SEED_ENDS = (-(2**63), 2**63 - 1)
+_finite = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _record(draw) -> TrialTrajectory | CellFailure:
+    function_id = draw(st.sampled_from(afsched.FUNCTION_IDS))
+    schedule_name = draw(st.sampled_from(SCHEDULE_NAMES))
+    seed = draw(st.sampled_from(_SEED_ENDS) | st.integers(-(2**63), 2**63 - 1))
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return CellFailure(function_id, schedule_name, seed, dim, draw(st.integers(0, 5)), draw(st.text(max_size=20)))
+
+    def points(n: int) -> np.ndarray:
+        return np.array(draw(st.lists(_finite, min_size=n * dim, max_size=n * dim))).reshape(n, dim)
+
+    n_doe, n_steps = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    xs = points(n_steps)
+    return TrialTrajectory(
+        function_id=function_id,
+        schedule_name=schedule_name,
+        seed=seed,
+        dim=dim,
+        f_opt=draw(_finite),
+        doe_x=points(n_doe),
+        doe_y=np.array(draw(st.lists(_finite, min_size=n_doe, max_size=n_doe))),
+        steps=tuple(
+            StepRecord(t + 1, draw(st.sampled_from(AcquisitionKind)), xs[t], draw(_finite), draw(_finite))
+            for t in range(n_steps)
+        ),
+    )
+
+
+def _edge_records() -> list[TrialTrajectory | CellFailure]:
+    """Every edge value and both seed ends in one file, next to a failure and a trajectory without steps."""
+    x = np.array(_EDGE_FLOATS[:8]).reshape(4, 2)
+    steps = tuple(StepRecord(t + 1, AcquisitionKind.PI, x[t], v, -v) for t, v in enumerate(_EDGE_FLOATS[-4:]))
+    return [
+        TrialTrajectory("f1", "ee25", _SEED_ENDS[0], 2, -0.0, x, np.array(_EDGE_FLOATS[-4:]), steps),
+        TrialTrajectory("f5", "pi", _SEED_ENDS[1], 2, 5e-324, x[:1], np.array([1e308]), ()),
+        CellFailure("f16", "random", _SEED_ENDS[1], 2, 0, "ValueError: caf\u00e9 \U0001f600"),
+    ]
+
+
+@settings(max_examples=60)
+@given(records=st.lists(_record(), max_size=4))
+@example(records=_edge_records())
+def test_records_round_trip_bit_for_bit(tmp_path_factory, records) -> None:
+    path = tmp_path_factory.getbasetemp() / "round_trip.jsonl"
+    write_records(records, path)
+    loaded = read_records(path)
+    assert len(loaded) == len(records)
+    for original, restored in zip(records, loaded):
+        if isinstance(original, CellFailure):
+            assert restored == original
+        else:
+            assert _fingerprint(restored) == _fingerprint(original)
