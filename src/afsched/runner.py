@@ -8,15 +8,19 @@ per-step substreams are keyed on (seed, function, step), so schedules that
 agree on a prefix of acquisition choices produce identical trajectories over
 that prefix. The runner therefore computes each shared step once: the unit of
 work, and of parallel work in the grid, is a (function, seed) pair, whose
-schedules run as one walk over the trie of their acquisition sequences. Every
-step runs on one BLAS thread. The output follows the config's function x
-schedule x seed order and is byte-identical for any worker count."""
+schedules run as one walk over the nodes of the trie of their acquisition
+sequences. A node is the schedules that agree so far plus their shared steps;
+it costs one GP fit, and one maximization and evaluation per acquisition kind
+its schedules choose next. Every step runs on one BLAS thread. The output
+follows the config's function x schedule x seed order and is byte-identical
+for any worker count."""
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
 import json
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -73,15 +77,18 @@ class ExperimentConfig:
     gp_restarts: int = 8
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(_integer("seeds", s) for s in self.seeds))
         object.__setattr__(self, "functions", tuple(self.functions))
         object.__setattr__(self, "schedules", tuple(self.schedules))
+        object.__setattr__(self, "dim", _integer("dim", self.dim))
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
         if self.doe_size is None:
             object.__setattr__(self, "doe_size", 3 * self.dim)
         if self.bo_evals is None:
             object.__setattr__(self, "bo_evals", 20 * self.dim)
+        for name in ("doe_size", "bo_evals", "gp_restarts"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.doe_size < 2:
             raise ValueError("doe_size must be >= 2")
         if self.bo_evals < 1:
@@ -105,6 +112,14 @@ class ExperimentConfig:
         for name in self.schedules:
             if name not in SCHEDULE_NAMES:
                 raise ValueError(f"unknown schedule {name!r}; valid schedules: {'|'.join(SCHEDULE_NAMES)}")
+
+
+def _integer(name: str, value) -> int:
+    """value as an int if operator.index takes it (numpy integers do); ValueError naming the field otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, found {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,13 +241,15 @@ def _run_schedules(
 ) -> list[TrialTrajectory | CellFailure]:
     """Run every named schedule on one (function, seed); one record per name, in order.
 
-    The walk goes over the trie of the schedules' acquisition sequences: each
-    node fits the GP once on its shared data, then maximizes and evaluates
-    once per acquisition kind its schedules choose next. An exception in the
-    design phase becomes a CellFailure at step 0 for every schedule, one in
-    the fit a CellFailure at that step for every schedule below the node,
-    and one in maximize_af or evaluate for every schedule of that kind's
-    branch; the other schedules go on.
+    The walk goes over the trie of the schedules' acquisition sequences, one
+    node at a time. A node is the schedules that agree so far and the steps
+    they share. A node with all T steps stores a record per schedule; any
+    other fits the GP once on its data, then maximizes and evaluates once per
+    acquisition kind its schedules choose next, each kind giving a child node.
+    An exception in the design phase becomes a CellFailure at step 0 for every
+    schedule, one in the fit a CellFailure at that step for every schedule of
+    the node, and one in maximize_af or evaluate for every schedule of that
+    kind; the other schedules go on.
     """
     total = config.bo_evals
     # kind_at is pure, so an unknown name raises here, before any fit.
@@ -243,59 +260,39 @@ def _run_schedules(
         doe_y = evaluate_many(inst, doe_x)
     except Exception as exc:  # a failed design fails the pair's cells, never the grid
         return [failure for _, failure in _failures(function_id, schedule_names, seed, config.dim, 0, exc)]
-    # The GP trains on the recorded points: to_unit(from_unit(u)) != u in the last bit.
-    doe_unit = list(to_unit(doe_x))
 
     records: dict[str, TrialTrajectory | CellFailure] = {}
-    branches: list[tuple[list[str], list[StepRecord]]] = [(list(schedule_names), [])]
-    while branches:
-        names, steps = branches.pop()
-        xs_unit = doe_unit + [to_unit(rec.x) for rec in steps]
-        ys = list(doe_y) + [rec.y for rec in steps]
-        for t in range(len(steps) + 1, total + 1):
+    nodes: list[tuple[tuple[str, ...], tuple[StepRecord, ...]]] = [(schedule_names, ())]
+    while nodes:
+        names, steps = nodes.pop()
+        t = len(steps) + 1
+        if t > total:
+            for name in names:
+                records[name] = TrialTrajectory(function_id, name, seed, config.dim, inst.f_opt, doe_x, doe_y, steps)
+            continue
+        try:
+            # The GP trains on the recorded points: to_unit(from_unit(u)) != u in the last bit.
+            model = fit(
+                to_unit(np.vstack([doe_x, *(rec.x for rec in steps)])),
+                np.append(doe_y, [rec.y for rec in steps]),
+                restarts=config.gp_restarts,
+                rng=substream(seed, function_id, "gp-restarts", t),
+            )
+        except Exception as exc:  # a failed step fails its cells, never the grid
+            records.update(_failures(function_id, names, seed, config.dim, t, exc))
+            continue
+        incumbent = steps[-1].incumbent if steps else float(np.min(doe_y))
+        groups: dict[AcquisitionKind, list[str]] = {}
+        for name in names:
+            groups.setdefault(kinds[name][t - 1], []).append(name)
+        for af, group in groups.items():
             try:
-                model = fit(
-                    np.asarray(xs_unit),
-                    np.asarray(ys),
-                    restarts=config.gp_restarts,
-                    rng=substream(seed, function_id, "gp-restarts", t),
-                )
+                x_next = from_unit(maximize_af(af, model, incumbent, substream(seed, function_id, "af-candidates", t)))
+                y_next = evaluate(inst, x_next)
             except Exception as exc:  # a failed step fails its cells, never the grid
-                records.update(_failures(function_id, names, seed, config.dim, t, exc))
-                break
-            incumbent = steps[-1].incumbent if steps else float(np.min(doe_y))
-            groups: dict[AcquisitionKind, list[str]] = {}
-            for name in names:
-                groups.setdefault(kinds[name][t - 1], []).append(name)
-            children = []
-            for af, group in groups.items():
-                try:
-                    x_next = from_unit(maximize_af(af, model, incumbent, substream(seed, function_id, "af-candidates", t)))
-                    y_next = evaluate(inst, x_next)
-                except Exception as exc:  # a failed step fails its cells, never the grid
-                    records.update(_failures(function_id, group, seed, config.dim, t, exc))
-                    continue
-                children.append((group, StepRecord(step=t, af=af, x=x_next, y=y_next, incumbent=min(incumbent, y_next))))
-            if not children:
-                break
-            # At a fork every child but the first gets its own copy of the steps.
-            branches.extend((group, steps + [rec]) for group, rec in children[1:])
-            names, rec = children[0]
-            steps.append(rec)
-            xs_unit.append(to_unit(rec.x))
-            ys.append(rec.y)
-        else:  # no step failed on this branch
-            for name in names:
-                records[name] = TrialTrajectory(
-                    function_id=function_id,
-                    schedule_name=name,
-                    seed=seed,
-                    dim=config.dim,
-                    f_opt=inst.f_opt,
-                    doe_x=doe_x,
-                    doe_y=doe_y,
-                    steps=tuple(steps),
-                )
+                records.update(_failures(function_id, group, seed, config.dim, t, exc))
+                continue
+            nodes.append((tuple(group), steps + (StepRecord(t, af, x_next, y_next, min(incumbent, y_next)),)))
     return [records[name] for name in schedule_names]
 
 

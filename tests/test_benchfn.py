@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -50,6 +51,16 @@ def grid_minimum(inst, stages=3, points_per_axis=1000) -> float:
         lo = np.maximum(best_x - span, -5.0)
         hi = np.minimum(best_x + span, 5.0)
     return best_val
+
+
+@functools.lru_cache(maxsize=None)
+def grid_oracle(fid: str, seed: int) -> float:
+    """grid_minimum of the 2-d instance (fid, seed), computed once per test run.
+
+    Instances hash by identity, so the cache is keyed on what builds them;
+    C7 and the global-minimality test below share the ten seed-7 scans.
+    """
+    return grid_minimum(make_instance(fid, 2, seed))
 
 
 def test_instances_are_deterministic() -> None:
@@ -142,8 +153,7 @@ def test_values_are_nonnegative_and_finite() -> None:
 
 def test_grid_oracle_confirms_global_minimality() -> None:
     for fid in FUNCTION_IDS:
-        inst = make_instance(fid, 2, 7)
-        assert grid_minimum(inst) <= inst.f_opt + 1e-2, fid
+        assert grid_oracle(fid, 7) <= make_instance(fid, 2, 7).f_opt + 1e-2, fid
 
 
 def test_rastrigin_grid_minimum_is_tight() -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -78,6 +79,14 @@ def test_config_validation() -> None:
     for field, values in bad_lists:
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(dim=2, seeds=(0,), **{field: values})
+    # Anything operator.index rejects is refused before any compute, naming the field.
+    not_integers = [("dim", 2.5), ("seeds", (1.5, 2.9)), ("doe_size", 4.0), ("bo_evals", "3"), ("gp_restarts", 1.0)]
+    for field, value in not_integers:
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentConfig(**{"dim": 2, "seeds": (0,), field: value})
+    cfg = ExperimentConfig(dim=np.int64(2), seeds=(np.int32(3),), bo_evals=np.int16(4), gp_restarts=np.uint8(1))
+    assert (cfg.dim, cfg.seeds, cfg.doe_size, cfg.bo_evals, cfg.gp_restarts) == (2, (3,), 6, 4, 1)
+    assert all(type(v) is int for v in (cfg.dim, *cfg.seeds, cfg.doe_size, cfg.bo_evals, cfg.gp_restarts))
 
 
 def test_run_trial_rejects_unknown_schedule_before_fitting(monkeypatch) -> None:
@@ -263,6 +272,17 @@ def _counting(monkeypatch, name: str) -> list[int]:
     return calls
 
 
+def _trie_calls(cfg: ExperimentConfig) -> tuple[int, int]:
+    """(fits, maximizations) of a clean grid: one per distinct (t-1)- and t-prefix of acquisition choices."""
+    fits = maximizations = 0
+    for seed in cfg.seeds:
+        kinds = [[kind_at(s, t, cfg.bo_evals, seed) for t in range(1, cfg.bo_evals + 1)] for s in cfg.schedules]
+        for t in range(1, cfg.bo_evals + 1):
+            fits += len({tuple(k[: t - 1]) for k in kinds})
+            maximizations += len({tuple(k[:t]) for k in kinds})
+    return fits, maximizations
+
+
 def test_grid_shares_schedule_prefixes_exactly(monkeypatch, per_schedule_trials) -> None:
     cfg = ExperimentConfig(**_TRIE)
     fits, maximizations = _counting(monkeypatch, "fit"), _counting(monkeypatch, "maximize_af")
@@ -270,17 +290,38 @@ def test_grid_shares_schedule_prefixes_exactly(monkeypatch, per_schedule_trials)
     assert [_fingerprint(r) for r in records] == [
         _fingerprint(per_schedule_trials[(sched, seed)]) for sched in cfg.schedules for seed in cfg.seeds
     ]
-
-    # One fit per distinct (t-1)-prefix of acquisition choices, one maximization per distinct t-prefix.
-    expected_fits = expected_maximizations = 0
-    for seed in cfg.seeds:
-        kinds = [[kind_at(s, t, cfg.bo_evals, seed) for t in range(1, cfg.bo_evals + 1)] for s in cfg.schedules]
-        for t in range(1, cfg.bo_evals + 1):
-            expected_fits += len({tuple(k[: t - 1]) for k in kinds})
-            expected_maximizations += len({tuple(k[:t]) for k in kinds})
+    expected_fits, expected_maximizations = _trie_calls(cfg)
     steps = len(cfg.schedules) * len(cfg.seeds) * cfg.bo_evals
     assert (len(fits), len(maximizations)) == (expected_fits, expected_maximizations)
     assert expected_fits < expected_maximizations < steps
+
+
+# The trie-walk property's grids: f1 at d=2, one restart, any subset of schedules and seeds, T <= 6.
+_WALK = dict(dim=2, functions=("f1",), doe_size=4, gp_restarts=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _lone_trial(schedule_name: str, seed: int, bo_evals: int) -> tuple:
+    """_fingerprint of run_trial; trials are deterministic, so examples that repeat a cell share one run."""
+    cfg = ExperimentConfig(seeds=(seed,), schedules=(schedule_name,), bo_evals=bo_evals, **_WALK)
+    return _fingerprint(run_trial("f1", schedule_name, seed, cfg))
+
+
+@settings(max_examples=40)
+@given(
+    schedules=st.lists(st.sampled_from(SCHEDULE_NAMES), min_size=1, unique=True),
+    seeds=st.lists(st.sampled_from((0, 1, 2)), min_size=1, unique=True),
+    bo_evals=st.integers(1, 6),
+)
+def test_the_trie_walk_equals_one_trial_per_schedule(schedules, seeds, bo_evals) -> None:
+    # Any subset and order of the schedules: the walk gives every record bit for bit
+    # as a lone run of its schedule would, with one fit and one maximization per trie node.
+    cfg = ExperimentConfig(seeds=tuple(seeds), schedules=tuple(schedules), bo_evals=bo_evals, **_WALK)
+    with pytest.MonkeyPatch.context() as patch:
+        fits, maximizations = _counting(patch, "fit"), _counting(patch, "maximize_af")
+        records = run_grid(cfg)
+    assert [_fingerprint(r) for r in records] == [_lone_trial(s, seed, bo_evals) for s in schedules for seed in seeds]
+    assert (len(fits), len(maximizations)) == _trie_calls(cfg)
 
 
 def test_fit_failure_at_a_shared_node_fails_only_the_schedules_below_it(monkeypatch, per_schedule_trials) -> None:
