@@ -30,15 +30,9 @@ class AcquisitionKind(Enum):
     PI = "pi"
 
 
-def _std_normal_cdf(z):
-    """Standard normal CDF, erf-based; accepts scalars or arrays."""
-    return 0.5 * (1.0 + erf(np.asarray(z, dtype=float) / _SQRT2))
-
-
-def _std_normal_pdf(z):
-    """Standard normal density; accepts scalars or arrays."""
-    z = np.asarray(z, dtype=float)
-    return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
+def _std_normal_cdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of an array, erf-based."""
+    return 0.5 * (1.0 + erf(z / _SQRT2))
 
 
 def scores(kind: AcquisitionKind, means: np.ndarray, stds: np.ndarray, y_min: float) -> np.ndarray:
@@ -51,7 +45,7 @@ def scores(kind: AcquisitionKind, means: np.ndarray, stds: np.ndarray, y_min: fl
     z = np.divide(delta, sigma, out=np.zeros(delta.shape), where=positive)
     if kind is AcquisitionKind.EI:
         value = delta * _std_normal_cdf(z)
-        value += sigma * _std_normal_pdf(z)
+        value += sigma * (_INV_SQRT_2PI * np.exp(-0.5 * z * z))
         # The expectation is nonnegative; clip roundoff from the two-term form.
         return np.where(positive, np.maximum(value, 0.0), 0.0)
     if kind is AcquisitionKind.PI:

@@ -77,7 +77,6 @@ class BenchInstance:
     x_opt: np.ndarray
     f_opt: float
     rotation: np.ndarray | None
-    instance_seed: int
     aux: dict = field(default_factory=dict)
 
 
@@ -110,7 +109,6 @@ def make_instance(function_id: str, dim: int, instance_seed: int) -> BenchInstan
         x_opt=x_opt,
         f_opt=0.0,
         rotation=rotation,
-        instance_seed=instance_seed,
         aux=aux,
     )
 

@@ -54,7 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", type=Path, required=True, help="output directory for trajectories.jsonl")
     run.add_argument("--doe", type=int, default=None, help="initial design size (default 3*dim)")
     run.add_argument("--evals", type=int, default=None, help="surrogate-based evaluations (default 20*dim)")
-    run.add_argument("--gp-restarts", type=int, default=8, help="likelihood ascent restarts per fit")
+    run.add_argument(
+        "--gp-restarts", type=int, default=ExperimentConfig.gp_restarts, help="likelihood ascent restarts per fit"
+    )
     run.add_argument("--workers", type=int, default=1, help="parallel worker processes")
 
     agg = sub.add_parser("aggregate", help="normalize log-regrets and write the curve and finals tables")

@@ -452,38 +452,45 @@ def aggregate(records: list[TrialTrajectory | CellFailure]) -> AggregateReport:
 # File formats: trajectories as JSON lines, aggregate as two CSV tables.
 
 
+# The cell header of every record: its JSON key, the attribute of TrialTrajectory
+# and CellFailure that holds it, and its JSON type.
+_HEADER = (
+    ("function", "function_id", str),
+    ("schedule", "schedule_name", str),
+    ("seed", "seed", int),
+    ("dim", "dim", int),
+)
+
+
 def _record_to_json(record: TrialTrajectory | CellFailure) -> dict:
+    payload = {key: getattr(record, attr) for key, attr, _ in _HEADER}
     if isinstance(record, CellFailure):
-        return {
-            "function": record.function_id,
-            "schedule": record.schedule_name,
-            "seed": record.seed,
-            "dim": record.dim,
-            "error": {"step": record.step, "message": record.message},
-        }
-    return {
-        "function": record.function_id,
-        "schedule": record.schedule_name,
-        "seed": record.seed,
-        "dim": record.dim,
-        "f_opt": record.f_opt,
-        "doe_x": record.doe_x.tolist(),
-        "doe_y": record.doe_y.tolist(),
-        "af": [rec.af.value for rec in record.steps],
-        "x": [rec.x.tolist() for rec in record.steps],
-        "y": [rec.y for rec in record.steps],
-        "incumbent": [rec.incumbent for rec in record.steps],
-    }
+        payload["error"] = {"step": record.step, "message": record.message}
+        return payload
+    payload.update(
+        f_opt=record.f_opt,
+        doe_x=record.doe_x.tolist(),
+        doe_y=record.doe_y.tolist(),
+        af=[rec.af.value for rec in record.steps],
+        x=[rec.x.tolist() for rec in record.steps],
+        y=[rec.y for rec in record.steps],
+        incumbent=[rec.incumbent for rec in record.steps],
+    )
+    return payload
 
 
 # Acquisition kinds by their JSON value.
 _AF_BY_VALUE = {kind.value: kind for kind in AcquisitionKind}
 
 
-def _json_int(value, name: str) -> int:
-    """value if it is a JSON integer; ValueError otherwise (a float, string or boolean is not)."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be a JSON integer, found {value!r}")
+# The JSON name of each type a checked field may have.
+_JSON_TYPES = {int: "integer", str: "string"}
+
+
+def _json(value, kind: type, name: str):
+    """value if its type is exactly kind, so a boolean is not an integer; ValueError naming the field otherwise."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be a JSON {_JSON_TYPES[kind]}, found {value!r}")
     return value
 
 
@@ -497,15 +504,11 @@ def _points(payload: dict, name: str, dim: int) -> np.ndarray:
 
 
 def _record_from_json(payload: dict) -> TrialTrajectory | CellFailure:
-    seed, dim = _json_int(payload["seed"], "seed"), _json_int(payload["dim"], "dim")
+    cell = {attr: _json(payload[key], kind, key) for key, attr, kind in _HEADER}
     if "error" in payload:
+        error = payload["error"]
         return CellFailure(
-            function_id=payload["function"],
-            schedule_name=payload["schedule"],
-            seed=seed,
-            dim=dim,
-            step=_json_int(payload["error"]["step"], "error step"),
-            message=payload["error"]["message"],
+            **cell, step=_json(error["step"], int, "error step"), message=_json(error["message"], str, "error message")
         )
     columns = {name: len(payload[name]) for name in ("af", "x", "y", "incumbent")}
     if len(set(columns.values())) > 1:
@@ -521,18 +524,15 @@ def _record_from_json(payload: dict) -> TrialTrajectory | CellFailure:
             StepRecord,
             range(1, len(af) + 1),
             af,
-            _points(payload, "x", dim),
+            _points(payload, "x", cell["dim"]),
             map(float, payload["y"]),
             map(float, payload["incumbent"]),
         )
     )
     return TrialTrajectory(
-        function_id=payload["function"],
-        schedule_name=payload["schedule"],
-        seed=seed,
-        dim=dim,
+        **cell,
         f_opt=float(payload["f_opt"]),
-        doe_x=_points(payload, "doe_x", dim),
+        doe_x=_points(payload, "doe_x", cell["dim"]),
         doe_y=np.asarray(payload["doe_y"], dtype=float),
         steps=steps,
     )
@@ -555,7 +555,8 @@ def read_records(path) -> list[TrialTrajectory | CellFailure]:
 
     Malformed covers a line that is not UTF-8 or not JSON (NaN and Infinity
     are not), a missing field, a seed, dim or error step that is not a JSON
-    integer, step or design columns of different lengths and a point whose
+    integer, a function, schedule or error message that is not a JSON
+    string, step or design columns of different lengths and a point whose
     length is not dim.
     """
     records = []

@@ -194,7 +194,8 @@ def test_c6_desk_scale_directional_study() -> None:
         gp_restarts=2,
     )
     start = time.time()
-    records = run_grid(config)
+    # The records are byte-identical for any worker count (C8), so two workers only save time.
+    records = run_grid(config, workers=2)
     elapsed = time.time() - start
     trajectories = [r for r in records if not hasattr(r, "message")]
     assert len(trajectories) == len(functions) * len(schedules) * len(seeds)

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import afsched.cli as cli_mod
 import afsched.gp as gp_mod
@@ -36,6 +39,21 @@ def test_seed_parsing_half_open_and_lists() -> None:
     assert _parse_seeds("0..3") == (0, 1, 2)
     assert _parse_seeds("5..6") == (5,)
     assert _parse_seeds("3,9,1") == (3, 9, 1)
+
+
+@given(lo=st.integers(-(2**63), 2**63), length=st.integers(-3, 40))
+def test_seed_range_is_the_half_open_range(lo, length) -> None:
+    text = f"{lo}..{lo + length}"
+    if length > 0:
+        assert _parse_seeds(text) == tuple(range(lo, lo + length))
+    else:
+        with pytest.raises(argparse.ArgumentTypeError, match="empty seed range"):
+            _parse_seeds(text)
+
+
+@given(seeds=st.lists(st.integers(-(2**63), 2**63), min_size=1, max_size=8))
+def test_seed_list_parses_to_its_integers_in_order(seeds) -> None:
+    assert _parse_seeds(",".join(map(str, seeds))) == tuple(seeds)
 
 
 def test_run_writes_one_record_per_cell(tmp_path, capsys) -> None:
@@ -358,6 +376,11 @@ def test_aggregate_rejects_malformed_jsonl_lines(tmp_path, capsys) -> None:
         (edited(lambda p: p.update(seed=3.0)), "1: seed must be a JSON integer, found 3.0"),
         (edited(lambda p: p.update(dim="2")), "1: dim must be a JSON integer, found '2'"),
         (failure % "1.0", "1: error step must be a JSON integer, found 1.0"),
+        # aggregate hashes and sorts the ids, so only strings may reach it.
+        (edited(lambda p: p.update(function=["f1"])), "1: function must be a JSON string, found ['f1']"),
+        (edited(lambda p: p.update(function=7)), "1: function must be a JSON string, found 7"),
+        (edited(lambda p: p.update(schedule=None)), "1: schedule must be a JSON string, found None"),
+        (failure.replace('"boom"', "false") % "1", "1: error message must be a JSON string, found False"),
         (edited(lambda p: p["x"][1].append(0.5)), "1: x has rows of length [3], but dim is 2"),
         (edited(lambda p: p["doe_x"][0].pop()), "1: doe_x has rows of length [1], but dim is 2"),
         (edited(lambda p: p.update(x=[[0.5, 0.5, 0.5]] * 3)), "1: x has rows of length [3], but dim is 2"),

@@ -536,6 +536,37 @@ def test_aggregate_names_a_cell_group_whose_step_counts_differ() -> None:
         aggregate(empty)
 
 
+# Two function ids outside FUNCTION_IDS, which aggregate sorts after the listed ones by name.
+_AGGREGATE_FUNCTIONS = ("f1", "f5", "f16", "zz", "aa")
+# Incumbents from exact zeros (clamped to 1e-12) to huge values; negatives also clamp.
+_incumbent = st.sampled_from((0.0, -1.0, 1e-300, 1e300)) | st.floats(-1e6, 1e300, allow_nan=False)
+
+
+@st.composite
+def _study(draw) -> list[TrialTrajectory | CellFailure]:
+    """Trajectories of >= 2 seeds per (function, schedule), one step count per pair, with failures mixed in."""
+    records = []
+    for function_id in draw(st.lists(st.sampled_from(_AGGREGATE_FUNCTIONS), min_size=1, max_size=3, unique=True)):
+        for schedule_name in draw(st.lists(st.sampled_from(SCHEDULE_NAMES), min_size=1, max_size=3, unique=True)):
+            steps = draw(st.integers(1, 5))
+            for seed in draw(st.lists(st.integers(-5, 50), min_size=2, max_size=4, unique=True)):
+                incumbents = draw(st.lists(_incumbent, min_size=steps, max_size=steps))
+                records.append(_synthetic_trajectory(incumbents, function_id, schedule_name, seed))
+            if draw(st.booleans()):
+                records.append(CellFailure(function_id, schedule_name, 99, 2, step=1, message="boom"))
+    return records
+
+
+@settings(max_examples=60)
+@given(records=_study(), data=st.data())
+def test_aggregate_is_normalized_and_ignores_record_order(records, data) -> None:
+    report = aggregate(records)
+    assert all(0.0 <= c.mean <= 1.0 and c.ci_halfwidth >= 0.0 for c in report.curves)
+    assert all(0.0 <= f.value <= 1.0 for f in report.finals)
+    shuffled = aggregate(data.draw(st.permutations(records)))
+    assert (shuffled.curves, shuffled.finals, shuffled.bounds) == (report.curves, report.finals, report.bounds)
+
+
 def test_records_round_trip_through_jsonl(tmp_path) -> None:
     cfg = _config(seeds=(0,), schedules=("ee25",))
     records = run_grid(cfg)

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from afsched.acquisition import AcquisitionKind
 from afsched.schedule import SCHEDULE_NAMES, kind_at
@@ -86,3 +91,23 @@ def test_step_out_of_range() -> None:
 def test_unknown_name_lists_valid_ones() -> None:
     with pytest.raises(ValueError, match=r"ei\|pi\|random\|round_robin\|ee25\|ee50\|ee75"):
         kind_at("ee30", 1, 10, seed=0)
+
+
+@st.composite
+def _call(draw) -> tuple[str, int, int, int]:
+    """Arguments of one valid kind_at call: a name, a step within a budget of 1..500, the budget and a seed."""
+    total = draw(st.integers(1, 500))
+    return draw(st.sampled_from(SCHEDULE_NAMES)), draw(st.integers(1, total)), total, draw(st.integers(-(2**63), 2**63))
+
+
+@given(call=_call(), other=_call())
+def test_kind_at_is_pure(call, other) -> None:
+    first = kind_at(*call)
+    kind_at(*other)
+    assert kind_at(*call) is first
+
+
+@given(percent=st.sampled_from((25, 50, 75)), total=st.integers(1, 500))
+def test_explore_exploit_runs_ei_for_exactly_the_floor_of_its_share(percent, total) -> None:
+    switch = math.floor(Fraction(percent, 100) * total)
+    assert trace(f"ee{percent}", total, seed=0) == [EI] * switch + [PI] * (total - switch)
