@@ -24,7 +24,7 @@ import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -483,15 +483,27 @@ def _record_to_json(record: TrialTrajectory | CellFailure) -> dict:
 _AF_BY_VALUE = {kind.value: kind for kind in AcquisitionKind}
 
 
-# The JSON name of each type a checked field may have.
-_JSON_TYPES = {int: "integer", str: "string"}
+# The types orjson parses a JSON number to; a boolean is not one.
+_NUMBER_TYPES = {float, int}
+
+# The JSON name of each kind a checked field may have, and the types that kind parses to.
+_JSON_KINDS = {int: ("integer", {int}), str: ("string", {str}), float: ("number", _NUMBER_TYPES)}
 
 
 def _json(value, kind: type, name: str):
-    """value if its type is exactly kind, so a boolean is not an integer; ValueError naming the field otherwise."""
-    if type(value) is not kind:
-        raise ValueError(f"{name} must be a JSON {_JSON_TYPES[kind]}, found {value!r}")
+    """value if kind parses to its type, so a boolean is not an integer; ValueError naming the field otherwise."""
+    json_name, types = _JSON_KINDS[kind]
+    if type(value) not in types:
+        raise ValueError(f"{name} must be a JSON {json_name}, found {value!r}")
     return value
+
+
+def _numbers(values: list, name: str, rows: bool = False) -> None:
+    """ValueError naming the field and its first value that is not a JSON number, if any; rows: values are lists."""
+    flat = chain.from_iterable if rows else iter
+    if not set(map(type, flat(values))) <= _NUMBER_TYPES:
+        found = next(value for value in flat(values) if type(value) not in _NUMBER_TYPES)
+        raise ValueError(f"{name} must hold JSON numbers, found {found!r}")
 
 
 def _points(payload: dict, name: str, dim: int) -> np.ndarray:
@@ -500,6 +512,7 @@ def _points(payload: dict, name: str, dim: int) -> np.ndarray:
     lengths = sorted(set(map(len, rows)) - {dim})
     if lengths:
         raise ValueError(f"{name} has rows of length {lengths}, but dim is {dim}")
+    _numbers(rows, name, rows=True)
     return np.array(rows, dtype=float).reshape(len(rows), dim)
 
 
@@ -515,6 +528,8 @@ def _record_from_json(payload: dict) -> TrialTrajectory | CellFailure:
         raise ValueError(f"step columns differ in length: {columns}")
     if len(payload["doe_x"]) != len(payload["doe_y"]):
         raise ValueError(f"doe_x has {len(payload['doe_x'])} rows but doe_y has {len(payload['doe_y'])} entries")
+    for name in ("doe_y", "y", "incumbent"):
+        _numbers(payload[name], name)
     try:
         af = [_AF_BY_VALUE[value] for value in payload["af"]]
     except (KeyError, TypeError):  # not a kind's value: the enum's own ValueError names it
@@ -531,23 +546,52 @@ def _record_from_json(payload: dict) -> TrialTrajectory | CellFailure:
     )
     return TrialTrajectory(
         **cell,
-        f_opt=float(payload["f_opt"]),
+        f_opt=float(_json(payload["f_opt"], float, "f_opt")),
         doe_x=_points(payload, "doe_x", cell["dim"]),
         doe_y=np.asarray(payload["doe_y"], dtype=float),
         steps=steps,
     )
 
 
+# Sorted keys make the bytes a function of the records alone; a numpy scalar
+# in y, incumbent or f_opt is written as the number it holds.
+_ORJSON_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+
+
+def _encode(record: TrialTrajectory | CellFailure) -> bytes:
+    """The record's line; ValueError naming the cell and the cause if it has no exact JSON form."""
+    payload = _record_to_json(record)
+    cell = f"{record.function_id}/{record.schedule_name}/seed={record.seed}"
+    try:
+        line = orjson.dumps(payload, option=_ORJSON_OPTIONS)
+    except orjson.JSONEncodeError as exc:  # a lone surrogate, an integer outside 64 bits, an unknown type
+        raise ValueError(f"{cell}: {exc}") from None
+    # orjson writes NaN and +-Inf as null, which no finite record contains outside a string.
+    if b"null" in line and isinstance(record, TrialTrajectory):
+        for name in ("f_opt", "doe_x", "doe_y", "x", "y", "incumbent"):
+            if not np.isfinite(np.asarray(payload[name], dtype=float)).all():
+                raise ValueError(f"{cell}: {name} holds a non-finite value")
+    return line
+
+
 def write_records(records, path) -> None:
     """One self-describing JSON record per line, in the given order.
 
-    The bytes are those of json.dumps with sorted keys, which the output's
-    determinism rests on; read_records parses them with orjson.
+    A line is orjson's compact encoding with sorted keys and a newline:
+    every float is the shortest string that parses back to it, so the bytes
+    depend on the records alone. read_records parses it with orjson, and
+    also reads files in the spacing and float spelling of Python's
+    json.dumps. A record with a non-finite float, a string that is not
+    valid Unicode or an integer outside 64 bits raises ValueError naming
+    its cell and the cause; the partly written file is then removed.
     """
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(_record_to_json(record), sort_keys=True))
-            handle.write("\n")
+    try:
+        with open(path, "wb") as handle:
+            for record in records:
+                handle.write(_encode(record))
+    except ValueError:
+        os.remove(path)
+        raise
 
 
 def read_records(path) -> list[TrialTrajectory | CellFailure]:
@@ -556,8 +600,9 @@ def read_records(path) -> list[TrialTrajectory | CellFailure]:
     Malformed covers a line that is not UTF-8 or not JSON (NaN and Infinity
     are not), a missing field, a seed, dim or error step that is not a JSON
     integer, a function, schedule or error message that is not a JSON
-    string, step or design columns of different lengths and a point whose
-    length is not dim.
+    string, a value in f_opt, doe_x, doe_y, x, y or incumbent that is not a
+    JSON number, step or design columns of different lengths and a point
+    whose length is not dim.
     """
     records = []
     with open(path, "rb") as handle:

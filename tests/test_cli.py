@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 
 import pytest
@@ -304,6 +305,19 @@ def test_run_reports_a_write_failure_after_the_grid(tmp_path, monkeypatch, capsy
     assert "Traceback" not in captured.err
 
 
+def test_run_reports_a_record_it_cannot_write(tmp_path, monkeypatch, capsys) -> None:
+    def run_grid(config, workers, progress):
+        (record,) = runner_mod.run_grid(config, workers=workers)
+        return [dataclasses.replace(record, f_opt=float("inf"))]
+
+    monkeypatch.setattr(cli_mod, "run_grid", run_grid)
+    assert _run(tmp_path / "runs", schedules="ei", seeds="3..4") == 2
+    captured = capsys.readouterr()
+    assert "error: f1/ei/seed=3: f_opt holds a non-finite value" in captured.err
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "runs" / "trajectories.jsonl").exists()
+
+
 def test_run_worker_invariance_bytes(tmp_path) -> None:
     a, b = tmp_path / "w1", tmp_path / "w2"
     args = [
@@ -387,6 +401,13 @@ def test_aggregate_rejects_malformed_jsonl_lines(tmp_path, capsys) -> None:
         (edited(lambda p: p.update(af=["ei", "xx", "pi"])), "1: 'xx' is not a valid AcquisitionKind"),
         (edited(lambda p: p.update(af=["ei", ["pi"], "pi"])), "1: ['pi'] is not a valid AcquisitionKind"),
         (edited(lambda p: p.update(f_opt=float("nan"))), "1: "),  # json writes the token NaN; it is not JSON
+        # float() would read a numeric string or a boolean as a number.
+        (edited(lambda p: p["y"].__setitem__(1, "1e3")), "1: y must hold JSON numbers, found '1e3'"),
+        (edited(lambda p: p["incumbent"].__setitem__(0, True)), "1: incumbent must hold JSON numbers, found True"),
+        (edited(lambda p: p.update(f_opt="0.25")), "1: f_opt must be a JSON number, found '0.25'"),
+        (edited(lambda p: p["doe_y"].__setitem__(2, False)), "1: doe_y must hold JSON numbers, found False"),
+        (edited(lambda p: p["x"][0].__setitem__(1, "0.5")), "1: x must hold JSON numbers, found '0.5'"),
+        (edited(lambda p: p["doe_x"][1].__setitem__(0, None)), "1: doe_x must hold JSON numbers, found None"),
         ("\udcff" + good[0], "1: "),  # written below as a byte that is not UTF-8
     ]
     capsys.readouterr()

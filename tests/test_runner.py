@@ -644,3 +644,73 @@ def test_records_round_trip_bit_for_bit(tmp_path_factory, records) -> None:
             assert restored == original
         else:
             assert _fingerprint(restored) == _fingerprint(original)
+
+
+def _spelling_records() -> list[TrialTrajectory | CellFailure]:
+    """A trajectory whose floats json.dumps and orjson spell differently, and a failure with a non-ASCII message."""
+    steps = (
+        StepRecord(1, AcquisitionKind.EI, np.array([0.5, -1.25]), 1e-05, 1e-05),
+        StepRecord(2, AcquisitionKind.PI, np.array([3.0, 4.0]), 7.0, 1e-05),
+    )
+    doe_x = np.array([[1e-05, -0.0], [1e16, 2.5]])
+    return [
+        TrialTrajectory("f1", "ei", 3, 2, 0.0, doe_x, np.array([0.1, 1e16]), steps),
+        CellFailure("f5", "ee25", 4, 2, 1, "GpFitError: café"),
+    ]
+
+
+def test_written_bytes_are_pinned(tmp_path) -> None:
+    path = tmp_path / "records.jsonl"
+    write_records(_spelling_records(), path)
+    assert path.read_bytes() == (
+        b'{"af":["ei","pi"],"dim":2,"doe_x":[[0.00001,-0.0],[1e16,2.5]],"doe_y":[0.1,1e16],"f_opt":0.0,'
+        b'"function":"f1","incumbent":[0.00001,0.00001],"schedule":"ei","seed":3,'
+        b'"x":[[0.5,-1.25],[3.0,4.0]],"y":[0.00001,7.0]}\n'
+        b'{"dim":2,"error":{"message":"GpFitError: caf\xc3\xa9","step":1},"function":"f5","schedule":"ee25","seed":4}\n'
+    )
+
+
+def test_files_in_the_json_dumps_spelling_still_read(tmp_path) -> None:
+    records = _spelling_records()
+    old, new = tmp_path / "old.jsonl", tmp_path / "new.jsonl"
+    old.write_text("".join(json.dumps(runner_mod._record_to_json(r), sort_keys=True) + "\n" for r in records))
+    write_records(records, new)
+    text = old.read_text()
+    assert "1e-05" in text and "1e+16" in text and "-0.0" in text and "\\u00e9" in text
+    from_old, from_new = read_records(old), read_records(new)
+    assert _fingerprint(from_old[0]) == _fingerprint(from_new[0]) == _fingerprint(records[0])
+    assert from_old[1] == from_new[1] == records[1]
+
+
+def test_numpy_scalars_are_written_as_numbers(tmp_path) -> None:
+    (plain, _) = _spelling_records()
+    steps = tuple(dataclasses.replace(s, y=np.float64(s.y), incumbent=np.float64(s.incumbent)) for s in plain.steps)
+    numpy = dataclasses.replace(plain, f_opt=np.float64(plain.f_opt), steps=steps)
+    plain_path, numpy_path = tmp_path / "plain.jsonl", tmp_path / "numpy.jsonl"
+    write_records([plain], plain_path)
+    write_records([numpy], numpy_path)
+    assert numpy_path.read_bytes() == plain_path.read_bytes()
+    (restored,) = read_records(numpy_path)
+    assert _fingerprint(restored) == _fingerprint(numpy)
+
+
+def test_a_record_without_an_exact_json_form_names_its_cell_and_leaves_no_file(tmp_path) -> None:
+    (good, failure) = _spelling_records()
+    inf_doe_x = good.doe_x.copy()
+    inf_doe_x[1, 0] = np.inf
+    cases = [
+        (dataclasses.replace(good, steps=(dataclasses.replace(good.steps[0], y=float("nan")),)),
+         "f1/ei/seed=3: y holds a non-finite value"),
+        (dataclasses.replace(good, doe_x=inf_doe_x), "f1/ei/seed=3: doe_x holds a non-finite value"),
+        (dataclasses.replace(failure, message="bad \udcff byte"), "f5/ee25/seed=4: str is not valid UTF-8"),
+        (dataclasses.replace(failure, seed=2**64), f"f5/ee25/seed={2**64}: Integer exceeds 64-bit range"),
+    ]
+    path = tmp_path / "records.jsonl"
+    for bad, message in cases:
+        with pytest.raises(ValueError) as caught:
+            write_records([good, bad, failure], path)
+        assert str(caught.value).startswith(message)
+        assert not path.exists()
+    # A string that spells null sends the line to the finite check, which it passes.
+    write_records([dataclasses.replace(good, function_id="null"), dataclasses.replace(failure, message="null")], path)
+    assert [r.function_id for r in read_records(path)] == ["null", "f5"]
