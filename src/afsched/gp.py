@@ -122,7 +122,6 @@ class GpModel:
 
     params: KernelParams
     train_x: np.ndarray
-    train_y_standardized: np.ndarray
     y_mean: float
     y_std: float
     chol: np.ndarray
@@ -270,7 +269,6 @@ def build_model(train_x: np.ndarray, train_y: np.ndarray, params: KernelParams) 
     return GpModel(
         params=params,
         train_x=x,
-        train_y_standardized=y_s,
         y_mean=y_mean,
         y_std=y_std,
         chol=L,

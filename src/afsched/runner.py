@@ -452,21 +452,40 @@ def aggregate(records: list[TrialTrajectory | CellFailure]) -> AggregateReport:
 # File formats: trajectories as JSON lines, aggregate as two CSV tables.
 
 
-# The cell header of every record: its JSON key, the attribute of TrialTrajectory
-# and CellFailure that holds it, and its JSON type.
-_HEADER = (
-    ("function", "function_id", str),
-    ("schedule", "schedule_name", str),
-    ("seed", "seed", int),
-    ("dim", "dim", int),
+# Every field of a line: its name, the attribute that holds it and its kind.
+# Every line has the cell header, the first four, held by TrialTrajectory and
+# CellFailure alike. A failure line adds "error", an object that holds the
+# next two under their attribute names; a trajectory line adds the rest, of
+# which the last four are the step columns, one StepRecord value per step.
+_FIELDS = (
+    ("function", "function_id", "string"),
+    ("schedule", "schedule_name", "string"),
+    ("seed", "seed", "integer"),
+    ("dim", "dim", "integer"),
+    ("error step", "step", "integer"),
+    ("error message", "message", "string"),
+    ("f_opt", "f_opt", "number"),
+    ("doe_x", "doe_x", "points"),
+    ("doe_y", "doe_y", "numbers"),
+    ("af", "af", "kinds"),
+    ("x", "x", "points"),
+    ("y", "y", "numbers"),
+    ("incumbent", "incumbent", "numbers"),
 )
+_HEADER, _ERROR, _TRAJECTORY, _STEPS = _FIELDS[:4], _FIELDS[4:6], _FIELDS[6:], _FIELDS[9:]
+
+# The types of a value of each kind, a number also being an element of "numbers" and of the dim-long rows of
+# "points": what orjson parses it to, and the numpy int64 or float64 scalars it writes as the numbers they hold.
+_TYPES = {"string": {str}, "integer": {int, np.int64}, "number": {int, float, np.float64}}
+
+# Acquisition kinds by their JSON value: the elements of "kinds".
+_AF_BY_VALUE = {kind.value: kind for kind in AcquisitionKind}
 
 
 def _record_to_json(record: TrialTrajectory | CellFailure) -> dict:
     payload = {key: getattr(record, attr) for key, attr, _ in _HEADER}
     if isinstance(record, CellFailure):
-        payload["error"] = {"step": record.step, "message": record.message}
-        return payload
+        return payload | {"error": {attr: getattr(record, attr) for _, attr, _ in _ERROR}}
     payload.update(
         f_opt=record.f_opt,
         doe_x=record.doe_x.tolist(),
@@ -479,97 +498,83 @@ def _record_to_json(record: TrialTrajectory | CellFailure) -> dict:
     return payload
 
 
-# Acquisition kinds by their JSON value.
-_AF_BY_VALUE = {kind.value: kind for kind in AcquisitionKind}
+def _check(payload: dict) -> None:
+    """ValueError naming the first field of a line that is not of its kind in _FIELDS.
 
-
-# The types orjson parses a JSON number to; a boolean is not one.
-_NUMBER_TYPES = {float, int}
-
-# The JSON name of each kind a checked field may have, and the types that kind parses to.
-_JSON_KINDS = {int: ("integer", {int}), str: ("string", {str}), float: ("number", _NUMBER_TYPES)}
-
-
-def _json(value, kind: type, name: str):
-    """value if kind parses to its type, so a boolean is not an integer; ValueError naming the field otherwise."""
-    json_name, types = _JSON_KINDS[kind]
-    if type(value) not in types:
-        raise ValueError(f"{name} must be a JSON {json_name}, found {value!r}")
-    return value
-
-
-def _numbers(values: list, name: str, rows: bool = False) -> None:
-    """ValueError naming the field and its first value that is not a JSON number, if any; rows: values are lists."""
-    flat = chain.from_iterable if rows else iter
-    if not set(map(type, flat(values))) <= _NUMBER_TYPES:
-        found = next(value for value in flat(values) if type(value) not in _NUMBER_TYPES)
-        raise ValueError(f"{name} must hold JSON numbers, found {found!r}")
-
-
-def _points(payload: dict, name: str, dim: int) -> np.ndarray:
-    """payload[name], a list of points, as an array of shape (points, dim); ValueError if a row has another length."""
-    rows = payload[name]
-    lengths = sorted(set(map(len, rows)) - {dim})
-    if lengths:
-        raise ValueError(f"{name} has rows of length {lengths}, but dim is {dim}")
-    _numbers(rows, name, rows=True)
-    return np.array(rows, dtype=float).reshape(len(rows), dim)
+    A missing field raises KeyError, and a list where a value belongs, or
+    the reverse, TypeError.
+    """
+    failure = "error" in payload
+    if failure:  # the error's fields under their names in _FIELDS
+        payload = {**payload, **{name: payload["error"][attr] for name, attr, _ in _ERROR}}
+    for name, _, kind in _HEADER + (_ERROR if failure else _TRAJECTORY):
+        value = payload[name]
+        if kind in _TYPES:
+            if type(value) not in _TYPES[kind]:
+                raise ValueError(f"{name} must be a JSON {kind}, found {value!r}")
+        elif kind == "kinds":
+            if not (set(map(type, value)) <= {str} and set(value) <= _AF_BY_VALUE.keys()):
+                found = next(v for v in value if type(v) is not str or v not in _AF_BY_VALUE)
+                raise ValueError(f"{found!r} is not a valid AcquisitionKind")
+        else:
+            if kind == "points":
+                lengths = sorted(set(map(len, value)) - {payload["dim"]})
+                if lengths:
+                    raise ValueError(f"{name} has rows of length {lengths}, but dim is {payload['dim']}")
+            flat = chain.from_iterable if kind == "points" else iter
+            if not set(map(type, flat(value))) <= _TYPES["number"]:
+                found = next(v for v in flat(value) if type(v) not in _TYPES["number"])
+                raise ValueError(f"{name} must hold JSON numbers, found {found!r}")
+    if not failure:
+        columns = {name: len(payload[name]) for name, _, _ in _STEPS}
+        if len(set(columns.values())) > 1:
+            raise ValueError(f"step columns differ in length: {columns}")
+        if len(payload["doe_x"]) != len(payload["doe_y"]):
+            raise ValueError(f"doe_x has {len(payload['doe_x'])} rows but doe_y has {len(payload['doe_y'])} entries")
 
 
 def _record_from_json(payload: dict) -> TrialTrajectory | CellFailure:
-    cell = {attr: _json(payload[key], kind, key) for key, attr, kind in _HEADER}
+    _check(payload)
+    cell = {attr: payload[key] for key, attr, _ in _HEADER}
     if "error" in payload:
-        error = payload["error"]
-        return CellFailure(
-            **cell, step=_json(error["step"], int, "error step"), message=_json(error["message"], str, "error message")
-        )
-    columns = {name: len(payload[name]) for name in ("af", "x", "y", "incumbent")}
-    if len(set(columns.values())) > 1:
-        raise ValueError(f"step columns differ in length: {columns}")
-    if len(payload["doe_x"]) != len(payload["doe_y"]):
-        raise ValueError(f"doe_x has {len(payload['doe_x'])} rows but doe_y has {len(payload['doe_y'])} entries")
-    for name in ("doe_y", "y", "incumbent"):
-        _numbers(payload[name], name)
-    try:
-        af = [_AF_BY_VALUE[value] for value in payload["af"]]
-    except (KeyError, TypeError):  # not a kind's value: the enum's own ValueError names it
-        af = list(map(AcquisitionKind, payload["af"]))
+        return CellFailure(**cell, **{attr: payload["error"][attr] for _, attr, _ in _ERROR})
+    doe_x, x = payload["doe_x"], payload["x"]
     steps = tuple(
         map(
             StepRecord,
-            range(1, len(af) + 1),
-            af,
-            _points(payload, "x", cell["dim"]),
+            range(1, len(x) + 1),
+            map(_AF_BY_VALUE.__getitem__, payload["af"]),
+            np.array(x, dtype=float).reshape(len(x), cell["dim"]),
             map(float, payload["y"]),
             map(float, payload["incumbent"]),
         )
     )
     return TrialTrajectory(
         **cell,
-        f_opt=float(_json(payload["f_opt"], float, "f_opt")),
-        doe_x=_points(payload, "doe_x", cell["dim"]),
+        f_opt=float(payload["f_opt"]),
+        doe_x=np.array(doe_x, dtype=float).reshape(len(doe_x), cell["dim"]),
         doe_y=np.asarray(payload["doe_y"], dtype=float),
         steps=steps,
     )
 
 
-# Sorted keys make the bytes a function of the records alone; a numpy scalar
-# in y, incumbent or f_opt is written as the number it holds.
+# Sorted keys make the bytes a function of the records alone; numpy scalars are written as the numbers they hold.
 _ORJSON_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
 
 
 def _encode(record: TrialTrajectory | CellFailure) -> bytes:
-    """The record's line; ValueError naming the cell and the cause if it has no exact JSON form."""
-    payload = _record_to_json(record)
+    """The record's line; ValueError naming the cell and the cause if the line would not read back as the record."""
     cell = f"{record.function_id}/{record.schedule_name}/seed={record.seed}"
     try:
+        payload = _record_to_json(record)  # AttributeError: not an array or a kind where one belongs
+        _check(payload)
         line = orjson.dumps(payload, option=_ORJSON_OPTIONS)
-    except orjson.JSONEncodeError as exc:  # a lone surrogate, an integer outside 64 bits, an unknown type
+    except (AttributeError, TypeError, ValueError) as exc:  # orjson's errors are TypeErrors
         raise ValueError(f"{cell}: {exc}") from None
-    # orjson writes NaN and +-Inf as null, which no finite record contains outside a string.
-    if b"null" in line and isinstance(record, TrialTrajectory):
-        for name in ("f_opt", "doe_x", "doe_y", "x", "y", "incumbent"):
-            if not np.isfinite(np.asarray(payload[name], dtype=float)).all():
+    # orjson writes NaN and +-Inf as null, which no checked record contains outside a string.
+    if b"null" in line and "error" not in payload:
+        for name, _, kind in _TRAJECTORY:
+            if kind != "kinds" and not np.isfinite(np.asarray(payload[name], dtype=float)).all():
                 raise ValueError(f"{cell}: {name} holds a non-finite value")
     return line
 
@@ -581,9 +586,10 @@ def write_records(records, path) -> None:
     every float is the shortest string that parses back to it, so the bytes
     depend on the records alone. read_records parses it with orjson, and
     also reads files in the spacing and float spelling of Python's
-    json.dumps. A record with a non-finite float, a string that is not
-    valid Unicode or an integer outside 64 bits raises ValueError naming
-    its cell and the cause; the partly written file is then removed.
+    json.dumps. A record that does not fit _FIELDS, or has a non-finite
+    float, a string that is not valid Unicode or an integer outside 64 bits,
+    raises ValueError naming its cell and the cause; the partly written file
+    is then removed.
     """
     try:
         with open(path, "wb") as handle:
@@ -598,11 +604,9 @@ def read_records(path) -> list[TrialTrajectory | CellFailure]:
     """Records of a write_records file; a malformed line raises ValueError naming path:line.
 
     Malformed covers a line that is not UTF-8 or not JSON (NaN and Infinity
-    are not), a missing field, a seed, dim or error step that is not a JSON
-    integer, a function, schedule or error message that is not a JSON
-    string, a value in f_opt, doe_x, doe_y, x, y or incumbent that is not a
-    JSON number, step or design columns of different lengths and a point
-    whose length is not dim.
+    are not), a missing field, a field that is not of its kind in _FIELDS,
+    step or design columns of different lengths and a point whose length is
+    not dim.
     """
     records = []
     with open(path, "rb") as handle:
@@ -619,15 +623,11 @@ def read_records(path) -> list[TrialTrajectory | CellFailure]:
     return records
 
 
-def _format_value(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(",".join(_format_value(v) for v in row) + "\n")
+            handle.write(",".join(map(str, row)) + "\n")
 
 
 def write_aggregate(report: AggregateReport, out_dir) -> None:

@@ -704,6 +704,18 @@ def test_a_record_without_an_exact_json_form_names_its_cell_and_leaves_no_file(t
         (dataclasses.replace(good, doe_x=inf_doe_x), "f1/ei/seed=3: doe_x holds a non-finite value"),
         (dataclasses.replace(failure, message="bad \udcff byte"), "f5/ee25/seed=4: str is not valid UTF-8"),
         (dataclasses.replace(failure, seed=2**64), f"f5/ee25/seed={2**64}: Integer exceeds 64-bit range"),
+        # Lines that read_records would reject, and records that have no line at all.
+        (dataclasses.replace(good, steps=(dataclasses.replace(good.steps[0], y="1e3"),)),
+         "f1/ei/seed=3: y must hold JSON numbers, found '1e3'"),
+        (dataclasses.replace(good, seed=True), "f1/ei/seed=True: seed must be a JSON integer, found True"),
+        (dataclasses.replace(good, function_id=7), "7/ei/seed=3: function must be a JSON string, found 7"),
+        (dataclasses.replace(good, dim=3), "f1/ei/seed=3: doe_x has rows of length [2], but dim is 3"),
+        (dataclasses.replace(failure, step=1.0), "f5/ee25/seed=4: error step must be a JSON integer, found 1.0"),
+        (dataclasses.replace(good, steps=(dataclasses.replace(good.steps[0], af="ei"),)),
+         "f1/ei/seed=3: 'str' object has no attribute 'value'"),
+        (dataclasses.replace(good, doe_x=good.doe_x.tolist()), "f1/ei/seed=3: 'list' object has no attribute 'tolist'"),
+        (dataclasses.replace(good, steps=(dataclasses.replace(good.steps[0], x=[0.5, -1.25]),)),
+         "f1/ei/seed=3: 'list' object has no attribute 'tolist'"),
     ]
     path = tmp_path / "records.jsonl"
     for bad, message in cases:
@@ -714,3 +726,38 @@ def test_a_record_without_an_exact_json_form_names_its_cell_and_leaves_no_file(t
     # A string that spells null sends the line to the finite check, which it passes.
     write_records([dataclasses.replace(good, function_id="null"), dataclasses.replace(failure, message="null")], path)
     assert [r.function_id for r in read_records(path)] == ["null", "f5"]
+
+
+# Values of another kind than their field's: a string, booleans, None, a list and numpy scalars.
+_STRAYS = ("1e3", True, np.True_, None, [0.5], np.float64(0.5), np.float32(0.5), np.int64(3), np.str_("ei"))
+_HEADER_ATTRS = ("function_id", "schedule_name", "seed", "dim")
+_STEP_ATTRS = ("af", "x", "y", "incumbent")
+
+
+@settings(max_examples=150)
+@given(record=_record(), data=st.data())
+def test_what_the_writer_accepts_the_reader_reads_bit_for_bit(tmp_path_factory, record, data) -> None:
+    if isinstance(record, CellFailure):
+        attrs = (*_HEADER_ATTRS, "step", "message")
+    else:
+        attrs = (*_HEADER_ATTRS, "f_opt", "doe_x", "doe_y") + (_STEP_ATTRS if record.steps else ())
+    attr, stray = data.draw(st.sampled_from(attrs)), data.draw(st.sampled_from(_STRAYS))
+    if attr in _STEP_ATTRS:  # one step's value
+        steps = list(record.steps)
+        t = data.draw(st.integers(0, len(steps) - 1))
+        steps[t] = dataclasses.replace(steps[t], **{attr: stray})
+        bad = dataclasses.replace(record, steps=tuple(steps))
+    else:
+        bad = dataclasses.replace(record, **{attr: stray})
+    path = tmp_path_factory.getbasetemp() / "stray.jsonl"
+    try:
+        write_records([bad], path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{bad.function_id}/{bad.schedule_name}/seed={bad.seed}: ")
+        assert not path.exists()
+        return
+    (restored,) = read_records(path)
+    if isinstance(bad, CellFailure):
+        assert restored == bad
+    else:
+        assert _fingerprint(restored) == _fingerprint(bad)
