@@ -53,6 +53,7 @@ _ROTATED = frozenset({"f7", "f12", "f15", "f16", "f21", "f23", "f24"})
 
 _N_PEAKS = 101          # f21
 _PEAK_MAX_CONDITION = 1000.0
+_PEAK_WEIGHTS = np.append(10.0, np.linspace(1.1, 9.1, _N_PEAKS - 1))  # the global peak, then the local ones
 _WEIERSTRASS_TERMS = 12
 _KATSUURA_TERMS = 32
 _LUNACEK_MU1 = 2.5
@@ -70,7 +71,10 @@ def from_unit(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BenchInstance:
-    """One seeded landscape: shift, optional rotation, per-function constants."""
+    """One seeded landscape: shift, rotation (None for f1, f5 and f8) and `aux`.
+
+    `aux` holds only drawn constants (f21's peak centres and scales); fixed ones are computed where they are used.
+    """
 
     function_id: str
     dim: int
@@ -81,7 +85,7 @@ class BenchInstance:
 
 
 def make_instance(function_id: str, dim: int, instance_seed: int) -> BenchInstance:
-    """Draw a deterministic instance of `function_id` in dimension `dim`."""
+    """Draw a deterministic instance of `function_id` in dimension `dim`; `aux` is empty but for f21's peaks."""
     if function_id not in FUNCTION_IDS:
         raise ValueError(f"unknown function id {function_id!r}; implemented: {', '.join(FUNCTION_IDS)}")
     if dim < 2:
@@ -95,13 +99,7 @@ def make_instance(function_id: str, dim: int, instance_seed: int) -> BenchInstan
         q, r = np.linalg.qr(gauss)
         rotation = q * np.sign(np.diag(r))  # fix column signs for a unique factor
 
-    aux: dict = {}
-    if function_id == "f5":
-        signs = np.where(x_opt >= 0.0, 1.0, -1.0)
-        aux["slope_signs"] = signs
-        aux["slope_weights"] = 10.0 ** np.linspace(0.0, 1.0, dim)
-    elif function_id == "f21":
-        aux.update(_draw_gallagher_peaks(instance_seed, function_id, dim, x_opt, rotation))
+    aux = _draw_gallagher_peaks(instance_seed, function_id, dim, x_opt, rotation) if function_id == "f21" else {}
 
     return BenchInstance(
         function_id=function_id,
@@ -126,10 +124,7 @@ def _draw_gallagher_peaks(
         scales[i] = rng.permutation(conditions[i] ** ladder)
     centers = rng.uniform(DOMAIN_LOWER, DOMAIN_UPPER, size=(_N_PEAKS, dim))
     centers[0] = rotation @ x_opt  # the weight-10 global peak sits at the optimum
-    weights = np.empty(_N_PEAKS)
-    weights[0] = 10.0
-    weights[1:] = np.linspace(1.1, 9.1, _N_PEAKS - 1)
-    return {"peak_centers": centers, "peak_scales": scales, "peak_weights": weights}
+    return {"peak_centers": centers, "peak_scales": scales}
 
 
 def evaluate(inst: BenchInstance, x: np.ndarray) -> float:
@@ -150,12 +145,6 @@ def evaluate_many(inst: BenchInstance, x: np.ndarray) -> np.ndarray:
     return _EVALUATORS[inst.function_id](inst, x)
 
 
-def _rotate(inst: BenchInstance, shifted: np.ndarray) -> np.ndarray:
-    if inst.rotation is None:
-        return shifted
-    return shifted @ inst.rotation.T
-
-
 def _f1_sphere(inst: BenchInstance, x: np.ndarray) -> np.ndarray:
     s = x - inst.x_opt
     return np.sum(s * s, axis=1)
@@ -164,13 +153,13 @@ def _f1_sphere(inst: BenchInstance, x: np.ndarray) -> np.ndarray:
 def _f5_linear_slope(inst: BenchInstance, x: np.ndarray) -> np.ndarray:
     # Linear descent toward x_opt along each signed coordinate; the slope is
     # hinged at the optimum so values stay nonnegative past it.
-    signs = inst.aux["slope_signs"]
-    weights = inst.aux["slope_weights"]
+    signs = np.where(inst.x_opt >= 0.0, 1.0, -1.0)
+    weights = 10.0 ** np.linspace(0.0, 1.0, inst.dim)
     return np.maximum(signs * (inst.x_opt - x), 0.0) @ weights
 
 
 def _f7_step_ellipsoid(inst: BenchInstance, x: np.ndarray) -> np.ndarray:
-    z = _rotate(inst, x - inst.x_opt)
+    z = (x - inst.x_opt) @ inst.rotation.T
     z1 = np.abs(z[:, 0])
     stepped = np.where(np.abs(z) > 0.5, np.round(z), np.round(10.0 * z) / 10.0)
     ladder = 100.0 ** np.linspace(0.0, 1.0, inst.dim)
@@ -185,12 +174,12 @@ def _f8_rosenbrock(inst: BenchInstance, x: np.ndarray) -> np.ndarray:
 
 
 def _f12_bent_cigar(inst: BenchInstance, x: np.ndarray) -> np.ndarray:
-    z = _rotate(inst, x - inst.x_opt)
+    z = (x - inst.x_opt) @ inst.rotation.T
     return z[:, 0] ** 2 + 1e6 * np.sum(z[:, 1:] ** 2, axis=1)
 
 
 def _f15_rastrigin(inst: BenchInstance, x: np.ndarray) -> np.ndarray:
-    z = _rotate(inst, x - inst.x_opt)
+    z = (x - inst.x_opt) @ inst.rotation.T
     return 10.0 * (inst.dim - np.sum(np.cos(2.0 * math.pi * z), axis=1)) + np.sum(z * z, axis=1)
 
 
@@ -201,7 +190,7 @@ _WEIER_F0 = float(np.sum(_WEIER_HALF_POWERS * np.cos(math.pi * _WEIER_TRIPLE_POW
 
 
 def _f16_weierstrass(inst: BenchInstance, x: np.ndarray) -> np.ndarray:
-    z = _rotate(inst, x - inst.x_opt)
+    z = (x - inst.x_opt) @ inst.rotation.T
     phase = 2.0 * math.pi * (z[..., None] + 0.5) * _WEIER_TRIPLE_POWERS
     series = np.sum(_WEIER_HALF_POWERS * np.cos(phase), axis=-1)
     return 10.0 * (np.mean(series, axis=1) - _WEIER_F0) ** 3
@@ -211,13 +200,12 @@ def _f21_gallagher(inst: BenchInstance, x: np.ndarray) -> np.ndarray:
     z = x @ inst.rotation.T
     centers = inst.aux["peak_centers"]
     scales = inst.aux["peak_scales"]
-    weights = inst.aux["peak_weights"]
     best = np.full(x.shape[0], -np.inf)
     fac = -0.5 / inst.dim
     for i in range(_N_PEAKS):
         diff = z - centers[i]
         quad = (diff * diff) @ scales[i]
-        np.maximum(best, weights[i] * np.exp(fac * quad), out=best)
+        np.maximum(best, _PEAK_WEIGHTS[i] * np.exp(fac * quad), out=best)
     return (10.0 - best) ** 2
 
 
@@ -225,7 +213,7 @@ _KATSUURA_TWO_POWERS = 2.0 ** np.arange(1, _KATSUURA_TERMS + 1)
 
 
 def _f23_katsuura(inst: BenchInstance, x: np.ndarray) -> np.ndarray:
-    z = _rotate(inst, x - inst.x_opt)
+    z = (x - inst.x_opt) @ inst.rotation.T
     scaled = z[..., None] * _KATSUURA_TWO_POWERS
     wavy = np.sum(np.abs(scaled - np.round(scaled)) / _KATSUURA_TWO_POWERS, axis=-1)
     factors = 1.0 + np.arange(1, inst.dim + 1) * wavy
@@ -242,7 +230,7 @@ def _f24_lunacek(inst: BenchInstance, x: np.ndarray) -> np.ndarray:
     shifted = x - inst.x_opt
     sphere = np.sum(shifted * shifted, axis=1)
     decoy = d + s * np.sum((shifted + (mu1 - mu2)) ** 2, axis=1)
-    z = _rotate(inst, shifted)
+    z = shifted @ inst.rotation.T
     rastrigin = 10.0 * (d - np.sum(np.cos(2.0 * math.pi * z), axis=1))
     return np.minimum(sphere, decoy) + rastrigin
 

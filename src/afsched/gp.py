@@ -365,8 +365,8 @@ def check_minimize() -> None:
 def fit(
     train_x: np.ndarray,
     train_y: np.ndarray,
-    restarts: int = 8,
-    rng: np.random.Generator | int | None = None,
+    restarts: int,
+    rng: np.random.Generator | int,
 ) -> GpModel:
     """Fit kernel hyperparameters by multi-start likelihood ascent.
 

@@ -173,18 +173,21 @@ def run_trial(function_id: str, schedule_name: str, seed: int, config: Experimen
     """Run one cell; raises TrialError naming the step and the cause if a surrogate step fails."""
     (record,) = _run_schedules(function_id, (schedule_name,), seed, config)
     if isinstance(record, CellFailure):
-        raise TrialError(function_id, schedule_name, seed, record.step, record.message)
+        raise TrialError(record)
     return record
 
 
 class TrialError(RuntimeError):
-    def __init__(self, function_id: str, schedule_name: str, seed: int, step: int, message: str):
-        super().__init__(f"{function_id}/{schedule_name}/seed={seed} failed at step {step}: {message}")
-        self.function_id = function_id
-        self.schedule_name = schedule_name
-        self.seed = seed
-        self.step = step
-        self.message = message
+    """A failed run_trial; `failure` is the CellFailure that run_grid would have recorded for the cell."""
+
+    def __init__(self, failure: CellFailure):
+        super().__init__(f"{_cell(failure)} failed at step {failure.step}: {failure.message}")
+        self.failure = failure
+
+
+def _cell(record: TrialTrajectory | CellFailure) -> str:
+    """The record's cell as function/schedule/seed=N, as errors name it."""
+    return f"{record.function_id}/{record.schedule_name}/seed={record.seed}"
 
 
 # Suffixes of the scipy_openblas thread-count functions in the OpenBLAS builds
@@ -374,9 +377,13 @@ class AggregateReport:
     """Normalized log-regret statistics, one normalization per function."""
 
     bounds: dict[str, tuple[float, float]]
-    degenerate: tuple[str, ...]
     curves: tuple[CurvePoint, ...]
     finals: tuple[FinalPoint, ...]
+
+    @property
+    def degenerate(self) -> tuple[str, ...]:
+        """The functions whose log-regrets are all equal, in table order; they normalize to 0."""
+        return tuple(fid for fid, (lo, hi) in self.bounds.items() if hi - lo <= 0.0)
 
 
 def _rank(value: str, order: tuple[str, ...]) -> tuple[int, str]:
@@ -411,7 +418,6 @@ def aggregate(records: list[TrialTrajectory | CellFailure]) -> AggregateReport:
     # Cells in table order: functions and schedules by rank, then seeds.
     cells = sorted(by_cell, key=lambda key: (_rank(key[0], FUNCTION_IDS), _rank(key[1], SCHEDULE_NAMES), key[2]))
     bounds: dict[str, tuple[float, float]] = {}
-    degenerate: list[str] = []
     curves: list[CurvePoint] = []
     finals: list[FinalPoint] = []
     for fid, fn_cells in groupby(cells, key=itemgetter(0)):
@@ -429,8 +435,6 @@ def aggregate(records: list[TrialTrajectory | CellFailure]) -> AggregateReport:
         hi = float(np.max([matrix.max() for _, _, matrix in block]))
         bounds[fid] = (lo, hi)
         span = hi - lo
-        if span <= 0.0:
-            degenerate.append(fid)
         for sched, seeds, matrix in block:
             matrix = np.zeros_like(matrix) if span <= 0.0 else (matrix - lo) / span
             means = matrix.mean(axis=0)
@@ -440,12 +444,7 @@ def aggregate(records: list[TrialTrajectory | CellFailure]) -> AggregateReport:
             for row, seed in enumerate(seeds):
                 finals.append(FinalPoint(fid, sched, seed, float(matrix[row, -1])))
 
-    return AggregateReport(
-        bounds=bounds,
-        degenerate=tuple(degenerate),
-        curves=tuple(curves),
-        finals=tuple(finals),
-    )
+    return AggregateReport(bounds=bounds, curves=tuple(curves), finals=tuple(finals))
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +474,13 @@ _FIELDS = (
 _HEADER, _ERROR, _TRAJECTORY, _STEPS = _FIELDS[:4], _FIELDS[4:6], _FIELDS[6:], _FIELDS[9:]
 
 # The types of a value of each kind, a number also being an element of "numbers" and of the dim-long rows of
-# "points": what orjson parses it to, and the numpy int64 or float64 scalars it writes as the numbers they hold.
-_TYPES = {"string": {str}, "integer": {int, np.int64}, "number": {int, float, np.float64}}
+# "points": what orjson parses it to, and the numpy int64 scalars the writer writes as the integers they hold.
+# The writer takes only _FLOATS for a number, float64 scalars included: an integer would read back as a float.
+_TYPES = {"string": {str}, "integer": {int, np.int64}, "number": {int, float}}
+_FLOATS = {float, np.float64}
+
+# The numbers a value of each numeric kind holds, in order.
+_FLAT = {"number": lambda value: (value,), "numbers": iter, "points": chain.from_iterable}
 
 # Acquisition kinds by their JSON value: the elements of "kinds".
 _AF_BY_VALUE = {kind.value: kind for kind in AcquisitionKind}
@@ -498,8 +502,8 @@ def _record_to_json(record: TrialTrajectory | CellFailure) -> dict:
     return payload
 
 
-def _check(payload: dict) -> None:
-    """ValueError naming the first field of a line that is not of its kind in _FIELDS.
+def _check(payload: dict, numbers: set = _TYPES["number"]) -> None:
+    """ValueError naming the first field of a line that is not of its kind in _FIELDS, a number being of `numbers`.
 
     A missing field raises KeyError, and a list where a value belongs, or
     the reverse, TypeError.
@@ -509,22 +513,23 @@ def _check(payload: dict) -> None:
         payload = {**payload, **{name: payload["error"][attr] for name, attr, _ in _ERROR}}
     for name, _, kind in _HEADER + (_ERROR if failure else _TRAJECTORY):
         value = payload[name]
-        if kind in _TYPES:
-            if type(value) not in _TYPES[kind]:
-                raise ValueError(f"{name} must be a JSON {kind}, found {value!r}")
-        elif kind == "kinds":
-            if not (set(map(type, value)) <= {str} and set(value) <= _AF_BY_VALUE.keys()):
-                found = next(v for v in value if type(v) is not str or v not in _AF_BY_VALUE)
-                raise ValueError(f"{found!r} is not a valid AcquisitionKind")
-        else:
+        if kind in _FLAT:
             if kind == "points":
                 lengths = sorted(set(map(len, value)) - {payload["dim"]})
                 if lengths:
                     raise ValueError(f"{name} has rows of length {lengths}, but dim is {payload['dim']}")
-            flat = chain.from_iterable if kind == "points" else iter
-            if not set(map(type, flat(value))) <= _TYPES["number"]:
-                found = next(v for v in flat(value) if type(v) not in _TYPES["number"])
-                raise ValueError(f"{name} must hold JSON numbers, found {found!r}")
+            if not set(map(type, _FLAT[kind](value))) <= numbers:
+                found = next(v for v in _FLAT[kind](value) if type(v) not in numbers)
+                if type(found) is int or isinstance(found, np.integer):  # only the writer refuses one
+                    raise ValueError(f"{name} holds the integer {found}, which would read back as a float")
+                must = "be a JSON number" if kind == "number" else "hold JSON numbers"
+                raise ValueError(f"{name} must {must}, found {found!r}")
+        elif kind == "kinds":
+            if not (set(map(type, value)) <= {str} and set(value) <= _AF_BY_VALUE.keys()):
+                found = next(v for v in value if type(v) is not str or v not in _AF_BY_VALUE)
+                raise ValueError(f"{found!r} is not a valid AcquisitionKind")
+        elif type(value) not in _TYPES[kind]:
+            raise ValueError(f"{name} must be a JSON {kind}, found {value!r}")
     if not failure:
         columns = {name: len(payload[name]) for name, _, _ in _STEPS}
         if len(set(columns.values())) > 1:
@@ -564,17 +569,21 @@ _ORJSON_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT
 
 def _encode(record: TrialTrajectory | CellFailure) -> bytes:
     """The record's line; ValueError naming the cell and the cause if the line would not read back as the record."""
-    cell = f"{record.function_id}/{record.schedule_name}/seed={record.seed}"
+    cell = _cell(record)
     try:
         payload = _record_to_json(record)  # AttributeError: not an array or a kind where one belongs
-        _check(payload)
+        _check(payload, _FLOATS)
+        # A line holds no step numbers: read_records numbers the steps 1..T.
+        steps = [rec.step for rec in getattr(record, "steps", ())]
+        if steps != list(range(1, len(steps) + 1)):
+            raise ValueError(f"steps must be numbered 1..{len(steps)}, found {steps}")
         line = orjson.dumps(payload, option=_ORJSON_OPTIONS)
     except (AttributeError, TypeError, ValueError) as exc:  # orjson's errors are TypeErrors
         raise ValueError(f"{cell}: {exc}") from None
     # orjson writes NaN and +-Inf as null, which no checked record contains outside a string.
     if b"null" in line and "error" not in payload:
         for name, _, kind in _TRAJECTORY:
-            if kind != "kinds" and not np.isfinite(np.asarray(payload[name], dtype=float)).all():
+            if kind in _FLAT and not np.isfinite(np.asarray(payload[name], dtype=float)).all():
                 raise ValueError(f"{cell}: {name} holds a non-finite value")
     return line
 
@@ -587,9 +596,10 @@ def write_records(records, path) -> None:
     depend on the records alone. read_records parses it with orjson, and
     also reads files in the spacing and float spelling of Python's
     json.dumps. A record that does not fit _FIELDS, or has a non-finite
-    float, a string that is not valid Unicode or an integer outside 64 bits,
-    raises ValueError naming its cell and the cause; the partly written file
-    is then removed.
+    float, an integer where a float belongs (it would read back as a float),
+    steps not numbered 1..T, a string that is not valid Unicode or an
+    integer outside 64 bits, raises ValueError naming its cell and the
+    cause; the partly written file is then removed.
     """
     try:
         with open(path, "wb") as handle:

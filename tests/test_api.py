@@ -2,7 +2,8 @@
 
 Every name a module lists in `__all__`, and every name the package
 re-exports, exists and is public; no module reaches into another module's
-`_`-prefixed names; the modules import each other only in the allowed layers.
+`_`-prefixed names; the modules import each other only in the allowed layers;
+the benchmark under `perfbench/` finds and traces what it calls.
 """
 
 from __future__ import annotations
@@ -11,9 +12,13 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import afsched
+from afsched import ExperimentConfig, runner
 
 SRC = Path(afsched.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
 
 
@@ -82,3 +87,31 @@ def test_module_layering() -> None:
     # The search box is benchfn's alone, and the optimizer knows no landscape or grid.
     assert _afsched_imports("benchfn") <= {"rng"}, _afsched_imports("benchfn")
     assert not _afsched_imports("afopt") & {"benchfn", "runner"}, _afsched_imports("afopt")
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """The benchmark's spans and run modules, imported as its scripts import each other."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("spans"), importlib.import_module("run")
+
+
+def test_the_benchmark_finds_traces_and_round_trips_what_it_calls(perfbench, tmp_path) -> None:
+    spans, run = perfbench
+    targets = [(module, attr) for _, module, attr, _ in spans._targets()]
+    missing = [f"{module.__name__}.{attr}" for module, attr in targets if not callable(getattr(module, attr, None))]
+    assert not missing, missing
+
+    config = ExperimentConfig(dim=2, seeds=(0,), functions=("f1",), schedules=("ei",), bo_evals=2, gp_restarts=1)
+    path = tmp_path / "trajectories.jsonl"
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        runner.write_records([runner.run_trial("f1", "ei", 0, config)], path)
+        runner.read_records(path)
+    layers = ("runner.run_trial", "gp.fit", "gp.lbfgs", "afopt.maximize_af")
+    layers += ("runner.write_records", "runner.read_records")
+    assert set(layers) <= tracer.totals().keys()
+
+    study = run.synthetic_study(ExperimentConfig(dim=2, seeds=(0, 1), functions=("f1", "f5"), bo_evals=3), seed=0)
+    runner.write_records(study, path)
+    assert run.check_roundtrip(study, runner.read_records(path)) == []

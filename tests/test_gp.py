@@ -435,11 +435,11 @@ def test_fit_is_deterministic_in_the_seed() -> None:
 
 def test_fit_input_validation() -> None:
     with pytest.raises(ValueError):
-        fit(np.array([[0.5]]), np.array([1.0]), rng=0)  # n < 2
+        fit(np.array([[0.5]]), np.array([1.0]), restarts=2, rng=0)  # n < 2
     with pytest.raises(ValueError):
-        fit(np.array([[0.1], [0.2]]), np.array([1.0, math.nan]), rng=0)
+        fit(np.array([[0.1], [0.2]]), np.array([1.0, math.nan]), restarts=2, rng=0)
     with pytest.raises(ValueError):
-        fit(np.array([[0.1], [3.5]]), np.array([1.0, 2.0]), rng=0)  # outside unit cube
+        fit(np.array([[0.1], [3.5]]), np.array([1.0, 2.0]), restarts=2, rng=0)  # outside unit cube
 
 
 def test_noise_floor_is_enforced() -> None:

@@ -422,7 +422,7 @@ records = runner.run_grid(config, workers=2) + runner.run_grid(config, workers=1
 try:
     runner.run_trial("f1", "ei", 0, config)
 except runner.TrialError as exc:
-    records.append(exc)
+    records.append(exc.failure)
 print(json.dumps({"before": before, "steps": [json.loads(r.message) for r in records], "after": threads()}))
 """
 
@@ -441,6 +441,18 @@ def test_trials_run_openblas_on_one_thread_and_restore_it() -> None:
     for found in seen["steps"]:
         assert found == dict.fromkeys(seen["before"], 1), seen
     assert seen["after"] == seen["before"]
+
+
+def test_a_trial_with_no_blas_to_pin_gives_the_same_record(monkeypatch) -> None:
+    cfg = _config(seeds=(0,), schedules=("ei",))
+    pinned = run_trial("f1", "ei", 0, cfg)
+
+    def unreadable(*args, **kwargs):  # as if there were no /proc
+        raise OSError("no such file")
+
+    monkeypatch.setattr(runner_mod, "open", unreadable, raising=False)
+    assert runner_mod._openblas_thread_controls() == []
+    assert _fingerprint(run_trial("f1", "ei", 0, cfg)) == _fingerprint(pinned)
 
 
 def test_log_regret_of_powers_of_ten() -> None:
@@ -716,6 +728,20 @@ def test_a_record_without_an_exact_json_form_names_its_cell_and_leaves_no_file(t
         (dataclasses.replace(good, doe_x=good.doe_x.tolist()), "f1/ei/seed=3: 'list' object has no attribute 'tolist'"),
         (dataclasses.replace(good, steps=(dataclasses.replace(good.steps[0], x=[0.5, -1.25]),)),
          "f1/ei/seed=3: 'list' object has no attribute 'tolist'"),
+        # Records whose line would read back changed: steps not numbered 1..T, and integers where floats belong.
+        (dataclasses.replace(good, steps=tuple(dataclasses.replace(s, step=s.step + 4) for s in good.steps)),
+         "f1/ei/seed=3: steps must be numbered 1..2, found [5, 6]"),
+        (dataclasses.replace(good, f_opt=0),
+         "f1/ei/seed=3: f_opt holds the integer 0, which would read back as a float"),
+        (dataclasses.replace(good, f_opt=np.int64(0)), "f1/ei/seed=3: f_opt holds the integer 0"),
+        (dataclasses.replace(good, doe_x=np.array([[1, 0], [7, 2]])), "f1/ei/seed=3: doe_x holds the integer 1"),
+        (dataclasses.replace(good, doe_y=np.array([1, 16], dtype=np.uint8)), "f1/ei/seed=3: doe_y holds the integer 1"),
+        (dataclasses.replace(good, steps=(dataclasses.replace(good.steps[0], x=np.array([0, -1])),)),
+         "f1/ei/seed=3: x holds the integer 0"),
+        (dataclasses.replace(good, steps=(dataclasses.replace(good.steps[0], y=1000),)),
+         "f1/ei/seed=3: y holds the integer 1000"),
+        (dataclasses.replace(good, steps=(dataclasses.replace(good.steps[0], incumbent=np.int32(2)),)),
+         "f1/ei/seed=3: incumbent holds the integer 2"),
     ]
     path = tmp_path / "records.jsonl"
     for bad, message in cases:
@@ -728,14 +754,26 @@ def test_a_record_without_an_exact_json_form_names_its_cell_and_leaves_no_file(t
     assert [r.function_id for r in read_records(path)] == ["null", "f5"]
 
 
-# Values of another kind than their field's: a string, booleans, None, a list and numpy scalars.
-_STRAYS = ("1e3", True, np.True_, None, [0.5], np.float64(0.5), np.float32(0.5), np.int64(3), np.str_("ei"))
+# Values of another kind than their field's: a string, booleans, None, a list, an int and numpy scalars.
+_STRAYS = ("1e3", True, np.True_, None, [0.5], 3, np.float64(0.5), np.float32(0.5), np.int64(3), np.str_("ei"))
 _HEADER_ATTRS = ("function_id", "schedule_name", "seed", "dim")
 _STEP_ATTRS = ("af", "x", "y", "incumbent")
 
 
+class _Drawn:
+    """Stands in for st.data() in an explicit example: each draw returns the next of the given values."""
+
+    def __init__(self, *values) -> None:
+        self.values = list(values)
+
+    def draw(self, strategy):
+        return self.values.pop(0)
+
+
 @settings(max_examples=150)
 @given(record=_record(), data=st.data())
+@example(record=_synthetic_trajectory([0.5]), data=_Drawn("y", 3, 0))  # a lone int step value reads back as 3.0
+@example(record=_synthetic_trajectory([0.5]), data=_Drawn("incumbent", 3, 0))
 def test_what_the_writer_accepts_the_reader_reads_bit_for_bit(tmp_path_factory, record, data) -> None:
     if isinstance(record, CellFailure):
         attrs = (*_HEADER_ATTRS, "step", "message")
