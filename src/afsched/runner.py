@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import gc
 import json
 import operator
 import os
@@ -122,7 +123,7 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, found {value!r}") from None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class StepRecord:
     step: int
     af: AcquisitionKind
@@ -183,6 +184,10 @@ class TrialError(RuntimeError):
     def __init__(self, failure: CellFailure):
         super().__init__(f"{_cell(failure)} failed at step {failure.step}: {failure.message}")
         self.failure = failure
+
+    def __reduce__(self):
+        # Exception pickles its message alone and would rebuild from it; rebuild from the failure instead.
+        return (TrialError, (self.failure,))
 
 
 def _cell(record: TrialTrajectory | CellFailure) -> str:
@@ -492,14 +497,22 @@ def _record_to_json(record: TrialTrajectory | CellFailure) -> dict:
         return payload | {"error": {attr: getattr(record, attr) for _, attr, _ in _ERROR}}
     payload.update(
         f_opt=record.f_opt,
-        doe_x=record.doe_x.tolist(),
-        doe_y=record.doe_y.tolist(),
+        doe_x=_tolist("doe_x", record.doe_x),
+        doe_y=_tolist("doe_y", record.doe_y),
         af=[rec.af.value for rec in record.steps],
-        x=[rec.x.tolist() for rec in record.steps],
+        x=[_tolist("x", rec.x) for rec in record.steps],
         y=[rec.y for rec in record.steps],
         incumbent=[rec.incumbent for rec in record.steps],
     )
     return payload
+
+
+def _tolist(name: str, array: np.ndarray) -> list:
+    """array.tolist(); ValueError for float16, float32 or long double values, which would read back as float64."""
+    values = array.tolist()  # AttributeError: not an array
+    if array.dtype.char in "efg":  # the float dtype characters other than float64's "d", in any byte order
+        raise ValueError(f"{name} holds {array.dtype.name} values, which would read back as float64")
+    return values
 
 
 def _check(payload: dict, numbers: set = _TYPES["number"]) -> None:
@@ -610,6 +623,18 @@ def write_records(records, path) -> None:
         raise
 
 
+@contextlib.contextmanager
+def _cyclic_gc_paused():
+    """Run the block with the cyclic garbage collector off; leave it on or off after, as it was before."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def read_records(path) -> list[TrialTrajectory | CellFailure]:
     """Records of a write_records file; a malformed line raises ValueError naming path:line.
 
@@ -617,9 +642,17 @@ def read_records(path) -> list[TrialTrajectory | CellFailure]:
     are not), a missing field, a field that is not of its kind in _FIELDS,
     step or design columns of different lengths and a point whose length is
     not dim.
+
+    The cyclic garbage collector is paused while the file's records are
+    built. A study file holds a StepRecord and an array view per step: every
+    700 new objects would start a young-generation collection, and each time
+    the survivors grew by a quarter a full one would walk every record built
+    so far, none finding a cycle, as records hold none. Reference counting
+    frees memory as usual, and the collector's previous state is restored
+    on return and on error.
     """
     records = []
-    with open(path, "rb") as handle:
+    with open(path, "rb") as handle, _cyclic_gc_paused():
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -349,8 +351,12 @@ def test_fit_failure_at_a_shared_node_fails_only_the_schedules_below_it(monkeypa
             assert record == CellFailure("f1", record.schedule_name, 1, 2, step=5, message="forced failure")
         else:
             assert _fingerprint(record) == _fingerprint(per_schedule_trials[(record.schedule_name, 1)])
-    with pytest.raises(TrialError, match="f1/ee75/seed=1 failed at step 5: forced failure"):
+    with pytest.raises(TrialError, match="f1/ee75/seed=1 failed at step 5: forced failure") as caught:
         run_trial("f1", "ee75", 1, cfg)
+    # A run_trial in a worker process reaches its caller pickled.
+    restored = pickle.loads(pickle.dumps(caught.value))
+    assert str(restored) == str(caught.value)
+    assert restored.failure == CellFailure("f1", "ee75", 1, 2, step=5, message="forced failure")
 
 
 def test_any_exception_in_a_step_fails_only_the_schedules_below_it(monkeypatch, per_schedule_trials) -> None:
@@ -651,11 +657,46 @@ def test_records_round_trip_bit_for_bit(tmp_path_factory, records) -> None:
     write_records(records, path)
     loaded = read_records(path)
     assert len(loaded) == len(records)
-    for original, restored in zip(records, loaded):
+    # run_grid's workers return their records pickled.
+    for original, restored, unpickled in zip(records, loaded, pickle.loads(pickle.dumps(records))):
         if isinstance(original, CellFailure):
-            assert restored == original
+            assert restored == unpickled == original
         else:
-            assert _fingerprint(restored) == _fingerprint(original)
+            assert _fingerprint(restored) == _fingerprint(unpickled) == _fingerprint(original)
+
+
+def test_a_step_record_has_no_instance_dict_and_stays_frozen() -> None:
+    (step,) = _synthetic_trajectory([0.5]).steps
+    assert not hasattr(step, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        step.y = 1.0
+    assert dataclasses.replace(step, y=1.0).y == 1.0 and step.y == 0.5
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_read_records_pauses_the_cyclic_collector_and_leaves_it_as_it_found_it(tmp_path, monkeypatch, enabled) -> None:
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    write_records(_spelling_records(), good)
+    bad.write_bytes(good.read_bytes() + b'{"function":"f1"}\n')
+    seen = []
+    build = runner_mod._record_from_json
+
+    def record_from_json(payload):
+        seen.append(gc.isenabled())
+        return build(payload)
+
+    monkeypatch.setattr(runner_mod, "_record_from_json", record_from_json)
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert len(read_records(good)) == 2
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="bad.jsonl:3: missing field 'schedule'"):
+            read_records(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert seen == [False] * 5
 
 
 def _spelling_records() -> list[TrialTrajectory | CellFailure]:
@@ -742,6 +783,14 @@ def test_a_record_without_an_exact_json_form_names_its_cell_and_leaves_no_file(t
          "f1/ei/seed=3: y holds the integer 1000"),
         (dataclasses.replace(good, steps=(dataclasses.replace(good.steps[0], incumbent=np.int32(2)),)),
          "f1/ei/seed=3: incumbent holds the integer 2"),
+        # Floats of another width than float64's, which they would read back as.
+        (dataclasses.replace(good, doe_x=good.doe_x.astype(np.float32)),
+         "f1/ei/seed=3: doe_x holds float32 values, which would read back as float64"),
+        (dataclasses.replace(good, doe_y=good.doe_y.astype(">f4")), "f1/ei/seed=3: doe_y holds float32 values"),
+        (dataclasses.replace(good, doe_y=np.array([0.5, 2.5], dtype=np.float16)),
+         "f1/ei/seed=3: doe_y holds float16 values"),
+        (dataclasses.replace(good, steps=(dataclasses.replace(good.steps[0], x=good.steps[0].x.astype(np.longdouble)),)),
+         f"f1/ei/seed=3: x holds {np.dtype(np.longdouble).name} values"),
     ]
     path = tmp_path / "records.jsonl"
     for bad, message in cases:
@@ -754,8 +803,11 @@ def test_a_record_without_an_exact_json_form_names_its_cell_and_leaves_no_file(t
     assert [r.function_id for r in read_records(path)] == ["null", "f5"]
 
 
-# Values of another kind than their field's: a string, booleans, None, a list, an int and numpy scalars.
-_STRAYS = ("1e3", True, np.True_, None, [0.5], 3, np.float64(0.5), np.float32(0.5), np.int64(3), np.str_("ei"))
+# Values of another kind than their field's: a string, booleans, None, a list, an int, numpy scalars and a float32 array.
+_STRAYS = (
+    "1e3", True, np.True_, None, [0.5], 3, np.float64(0.5), np.float32(0.5), np.int64(3), np.str_("ei"),
+    np.array([0.5, 0.1], dtype=np.float32),
+)
 _HEADER_ATTRS = ("function_id", "schedule_name", "seed", "dim")
 _STEP_ATTRS = ("af", "x", "y", "incumbent")
 
@@ -774,6 +826,7 @@ class _Drawn:
 @given(record=_record(), data=st.data())
 @example(record=_synthetic_trajectory([0.5]), data=_Drawn("y", 3, 0))  # a lone int step value reads back as 3.0
 @example(record=_synthetic_trajectory([0.5]), data=_Drawn("incumbent", 3, 0))
+@example(record=_synthetic_trajectory([0.5]), data=_Drawn("x", _STRAYS[-1], 0))  # reads back as float64
 def test_what_the_writer_accepts_the_reader_reads_bit_for_bit(tmp_path_factory, record, data) -> None:
     if isinstance(record, CellFailure):
         attrs = (*_HEADER_ATTRS, "step", "message")
