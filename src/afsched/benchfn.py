@@ -46,8 +46,6 @@ DOMAIN_LOWER = -5.0
 DOMAIN_UPPER = 5.0
 X_OPT_RANGE = 4.0
 
-FUNCTION_IDS = ("f1", "f5", "f7", "f8", "f12", "f15", "f16", "f21", "f23", "f24")
-
 # Landscapes whose definition includes a drawn rotation.
 _ROTATED = frozenset({"f7", "f12", "f15", "f16", "f21", "f23", "f24"})
 
@@ -247,3 +245,4 @@ _EVALUATORS = {
     "f23": _f23_katsuura,
     "f24": _f24_lunacek,
 }
+FUNCTION_IDS = tuple(_EVALUATORS)  # the suite's order, which orders every regret table's rows

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -52,8 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--schedules", type=_parse_list, required=True, help=f"comma list from: {'|'.join(SCHEDULE_NAMES)}")
     run.add_argument("--seeds", type=_parse_seeds, required=True, help="half-open range a..b or comma list")
     run.add_argument("--out", type=Path, required=True, help="output directory for trajectories.jsonl")
-    run.add_argument("--doe", type=int, default=None, help="initial design size (default 3*dim)")
-    run.add_argument("--evals", type=int, default=None, help="surrogate-based evaluations (default 20*dim)")
+    run.add_argument("--doe", dest="doe_size", metavar="DOE", type=int, help="initial design size (default 3*dim)")
+    run.add_argument("--evals", dest="bo_evals", metavar="EVALS", type=int, help="surrogate-based evaluations (default 20*dim)")
     run.add_argument(
         "--gp-restarts", type=int, default=ExperimentConfig.gp_restarts, help="likelihood ascent restarts per fit"
     )
@@ -70,24 +71,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config = ExperimentConfig(
-        dim=args.dim,
-        seeds=args.seeds,
-        functions=args.functions,
-        schedules=args.schedules,
-        doe_size=args.doe,
-        bo_evals=args.evals,
-        gp_restarts=args.gp_restarts,
-    )
+    # Each config field is the flag whose dest is the field's name; a field without a flag fails here.
+    config = ExperimentConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)})
 
     def progress(record):
         if isinstance(record, CellFailure):
-            print(f"{record.function_id} {record.schedule_name} seed={record.seed} FAILED at step {record.step}: {record.message}")
+            outcome = f"FAILED at step {record.step}: {record.message}"
         else:
-            print(
-                f"{record.function_id} {record.schedule_name} seed={record.seed} "
-                f"final_regret={record.final_incumbent - record.f_opt:.6g}"
-            )
+            outcome = f"final_regret={record.final_incumbent - record.f_opt:.6g}"
+        print(f"{record.function_id} {record.schedule_name} seed={record.seed} {outcome}")
 
     # A bad worker count, a scipy whose L-BFGS-B binding minimize cannot
     # drive, or a bad output path fails here, before any cell runs and

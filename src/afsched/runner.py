@@ -396,6 +396,11 @@ def _rank(value: str, order: tuple[str, ...]) -> tuple[int, str]:
     return (order.index(value) if value in order else len(order), value)
 
 
+def _table_order(row: tuple) -> tuple:
+    """Sort key of a (function, schedule, step or seed, ...) row: functions and schedules by rank, then the number."""
+    return (_rank(row[0], FUNCTION_IDS), _rank(row[1], SCHEDULE_NAMES), row[2])
+
+
 def aggregate(records: list[TrialTrajectory | CellFailure]) -> AggregateReport:
     """Min-max normalize log-regrets per function and average over seeds.
 
@@ -420,8 +425,7 @@ def aggregate(records: list[TrialTrajectory | CellFailure]) -> AggregateReport:
             raise ValueError(f"duplicate cell {key}")
         by_cell[key] = log_regret(traj)
 
-    # Cells in table order: functions and schedules by rank, then seeds.
-    cells = sorted(by_cell, key=lambda key: (_rank(key[0], FUNCTION_IDS), _rank(key[1], SCHEDULE_NAMES), key[2]))
+    cells = sorted(by_cell, key=_table_order)
     bounds: dict[str, tuple[float, float]] = {}
     curves: list[CurvePoint] = []
     finals: list[FinalPoint] = []
@@ -508,9 +512,9 @@ def _record_to_json(record: TrialTrajectory | CellFailure) -> dict:
 
 
 def _tolist(name: str, array: np.ndarray) -> list:
-    """array.tolist(); ValueError for float16, float32 or long double values, which would read back as float64."""
+    """array.tolist(); ValueError for float16, float32, long double or object values, which would read back as float64."""
     values = array.tolist()  # AttributeError: not an array
-    if array.dtype.char in "efg":  # the float dtype characters other than float64's "d", in any byte order
+    if array.dtype.char in "efgO":  # the floats other than float64 ("d"), in any byte order, and object
         raise ValueError(f"{name} holds {array.dtype.name} values, which would read back as float64")
     return values
 
@@ -679,7 +683,7 @@ def write_aggregate(report: AggregateReport, out_dir) -> None:
     _write_csv(out_dir / "curves.csv", CURVE_COLUMNS, report.curves)
     _write_csv(out_dir / "finals.csv", FINAL_COLUMNS, report.finals)
     meta = {
-        "bounds": {fid: list(b) for fid, b in sorted(report.bounds.items())},
+        "bounds": {fid: list(b) for fid, b in report.bounds.items()},
         "degenerate": sorted(report.degenerate),
     }
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -727,13 +731,7 @@ def write_report(curves: list[CurvePoint], finals: list[FinalPoint], out_dir) ->
         names = ", ".join(sorted(mismatched, key=lambda f: _rank(f, FUNCTION_IDS)))
         raise ValueError(f"curves and finals name different functions; in only one of them: {names}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    curves = sorted(
-        curves, key=lambda c: (_rank(c.function_id, FUNCTION_IDS), _rank(c.schedule_name, SCHEDULE_NAMES), c.step)
-    )
-    finals = sorted(
-        finals, key=lambda f: (_rank(f.function_id, FUNCTION_IDS), _rank(f.schedule_name, SCHEDULE_NAMES), f.seed)
-    )
-    functions = sorted(curve_fns, key=lambda f: _rank(f, FUNCTION_IDS))
+    curves, finals = sorted(curves, key=_table_order), sorted(finals, key=_table_order)
     for prefix, columns, rows in (("curve", CURVE_COLUMNS, curves), ("violin", FINAL_COLUMNS, finals)):
         for fid, fn_rows in groupby(rows, key=attrgetter("function_id")):
             _write_csv(out_dir / f"{prefix}_{fid}.csv", columns, fn_rows)
@@ -746,4 +744,4 @@ def write_report(curves: list[CurvePoint], finals: list[FinalPoint], out_dir) ->
         for (sched, step), vals in sorted(by_key.items(), key=lambda kv: (_rank(kv[0][0], SCHEDULE_NAMES), kv[0][1]))
     ]
     _write_csv(out_dir / "average_curve.csv", ("schedule", "step", "mean_norm_log_regret"), rows)
-    return functions
+    return [fid for fid, _ in groupby(curves, key=attrgetter("function_id"))]

@@ -100,6 +100,8 @@ def test_evaluate_dispatches_and_respects_zero_sigma() -> None:
     assert scores(PI, np.array([3.0]), np.array([0.7]), y_min=3.0)[0] == 0.5
     with pytest.raises(ValueError):
         scores(EI, np.array([0.0]), np.array([-1e-9]), y_min=0.0)
+    with pytest.raises(ValueError, match="unknown acquisition kind: 'ei'"):
+        scores("ei", np.array([0.0]), np.array([1.0]), y_min=0.0)  # the kind's value, not the kind
 
 
 def test_ei_nonnegative_over_random_posteriors() -> None:

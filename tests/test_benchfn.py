@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from afsched.benchfn import (
     make_instance,
     to_unit,
 )
+from afsched.rng import substream
 
 # Optimum checks are exact by construction for most landscapes; the two
 # constructed multimodal ones get the looser documented tolerance.
@@ -78,6 +80,11 @@ def test_different_seeds_give_different_instances() -> None:
     b = make_instance("f1", 2, 1)
     assert not np.array_equal(a.x_opt, b.x_opt)
     assert a.f_opt == b.f_opt == 0.0  # the optimum value never depends on the draw
+
+
+def test_a_substream_key_holds_only_ints_and_strings() -> None:
+    with pytest.raises(TypeError, match="substream key parts must be int or str, got <class 'float'>"):
+        substream(0, "xopt", 1.5)
 
 
 def test_unknown_function_and_bad_dim() -> None:
@@ -167,6 +174,9 @@ def test_out_of_domain_and_dim_mismatch() -> None:
         evaluate(inst, np.array([5.5, 0.0]))
     with pytest.raises(ValueError):
         evaluate(inst, np.array([0.0, 0.0, 0.0]))
+    for bad in (np.zeros(2), np.zeros((3, 3))):
+        with pytest.raises(ValueError, match=rf"expected an \(m, 2\) matrix, got shape {re.escape(str(bad.shape))}"):
+            evaluate_many(inst, bad)
     # Boundary points are legal.
     evaluate(inst, np.array([5.0, -5.0]))
 

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +13,8 @@ import afsched.cli as cli_mod
 import afsched.gp as gp_mod
 import afsched.runner as runner_mod
 from afsched.cli import _parse_seeds, main
-from afsched.runner import CellFailure, read_records
+from afsched.acquisition import AcquisitionKind
+from afsched.runner import CellFailure, ExperimentConfig, StepRecord, TrialTrajectory, read_records, write_records
 
 _RUN_FAST = ["--doe", "4", "--evals", "3", "--gp-restarts", "2"]
 
@@ -92,6 +94,27 @@ def test_aggregate_requires_trajectory_files(tmp_path, capsys) -> None:
     empty.mkdir()
     assert main(["aggregate", "--in", str(empty), "--out", str(tmp_path / "agg")]) != 0
     assert "no trajectory files" in capsys.readouterr().err
+
+
+def test_aggregate_names_a_cell_that_two_files_hold(tmp_path, capsys) -> None:
+    runs = tmp_path / "runs"
+    assert _run(runs, schedules="ei") == 0
+    (runs / "copy.jsonl").write_bytes((runs / "trajectories.jsonl").read_bytes())
+    assert main(["aggregate", "--in", str(runs), "--out", str(tmp_path / "agg")]) == 1
+    assert "error: duplicate cell ('f1', 'ei', 0)" in capsys.readouterr().err
+    assert not (tmp_path / "agg").exists()
+
+
+def test_aggregate_warns_of_a_function_whose_log_regrets_are_all_equal(tmp_path, capsys) -> None:
+    # Every incumbent is the optimum, so every log-regret is the clamp's.
+    step = StepRecord(1, AcquisitionKind.EI, np.zeros(2), 0.0, 0.0)
+    found = [TrialTrajectory("f5", "ei", seed, 2, 0.0, np.zeros((2, 2)), np.ones(2), (step,)) for seed in (0, 1)]
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    write_records(found, runs / "found.jsonl")
+    assert main(["aggregate", "--in", str(runs), "--out", str(tmp_path / "agg")]) == 0
+    assert "warning: degenerate normalization (all values equal) for: f5\n" in capsys.readouterr().out
+    assert json.loads((tmp_path / "agg" / "meta.json").read_text())["degenerate"] == ["f5"]
 
 
 def test_aggregate_rejects_mixed_dimensions(tmp_path, capsys) -> None:
@@ -188,6 +211,25 @@ def test_report_files_split_the_aggregate_tables_by_function(tmp_path) -> None:
         parts = [(rep / f"{prefix}_{fid}.csv").read_text().splitlines() for fid in ("f1", "f5")]
         assert all(part[0] == header for part in parts)
         assert [row for part in parts for row in part[1:]] == body
+
+
+def test_run_builds_the_config_from_every_flag_and_the_config_defaults(tmp_path, monkeypatch) -> None:
+    grids = []
+
+    def run_grid(config, workers, progress):
+        grids.append((config, workers))
+        return []
+
+    monkeypatch.setattr(cli_mod, "run_grid", run_grid)
+    required = ["--dim", "3", "--functions", "f16,f5", "--schedules", "pi,ee75", "--seeds", "4..6"]
+    optional = ["--doe", "7", "--evals", "5", "--gp-restarts", "3", "--workers", "2"]
+    main(["run", *required, *optional, "--out", str(tmp_path / "a")])
+    main(["run", *required, "--out", str(tmp_path / "b")])
+    grid = dict(dim=3, seeds=(4, 5), functions=("f16", "f5"), schedules=("pi", "ee75"))
+    assert grids == [
+        (ExperimentConfig(**grid, doe_size=7, bo_evals=5, gp_restarts=3), 2),
+        (ExperimentConfig(**grid), 1),
+    ]
 
 
 def test_run_exits_nonzero_when_every_cell_fails(tmp_path, monkeypatch, capsys) -> None:
@@ -352,6 +394,12 @@ def test_report_rejects_short_csv_rows(tmp_path, capsys) -> None:
             curves_header,
             finals_header + "f1,ei,0,0.5\n",
             "curves and finals name different functions; in only one of them: f1",
+        ),
+        (
+            curves_header.replace("step", "t"),
+            finals_header,
+            "{agg}/curves.csv: expected columns ('function', 'schedule', 'step', 'mean_norm_log_regret', 'ci_halfwidth'),"
+            " found ('function', 'schedule', 't', 'mean_norm_log_regret', 'ci_halfwidth')",
         ),
     ]
     for i, (curves, finals, message) in enumerate(cases):

@@ -442,6 +442,41 @@ def test_fit_input_validation() -> None:
         fit(np.array([[0.1], [3.5]]), np.array([1.0, 2.0]), restarts=2, rng=0)  # outside unit cube
 
 
+def test_build_model_fit_the_likelihood_and_predict_batch_name_a_malformed_input() -> None:
+    params = _params([0.3, 0.5])
+    x, y = np.array([[0.1, 0.2], [0.5, 0.5], [0.9, 0.3]]), np.array([0.0, 1.0, 2.0])
+    nan_x = x.copy()
+    nan_x[1, 0] = math.nan
+    cube = np.full((3, 3), 0.5)
+    model = build_model(x, y, params)
+    cases = [
+        (lambda: build_model(x[0], y[:1], params), r"train_x must be an \(n, d\) matrix"),
+        (lambda: fit(x, y[:2], restarts=2, rng=0), "train_x and train_y disagree on n"),
+        (lambda: build_model(nan_x, y, params), "train_x must be finite"),
+        (lambda: build_model(cube, y, params), "train_x dim 3 does not match 2 lengthscales"),
+        (lambda: log_marginal_likelihood(params, cube, y), "train_x dim 3 does not match 2 lengthscales"),
+        (lambda: fit(x, y, restarts=0, rng=0), "restarts must be >= 1"),
+        (lambda: predict_batch(model, x[0]), r"expected an \(m, 2\) matrix, got shape \(2,\)"),
+        (lambda: predict_batch(model, cube), r"expected an \(m, 2\) matrix, got shape \(3, 3\)"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_kernel_params_name_a_value_that_is_not_finite_or_a_lengthscale_matrix() -> None:
+    cases = [
+        ((np.zeros((2, 2)), 0.0, 0.0), "log_lengthscales must be a 1-d vector"),
+        ((np.zeros(0), 0.0, 0.0), "log_lengthscales must be a 1-d vector"),
+        ((np.array([0.0, math.inf]), 0.0, 0.0), "log_lengthscales must be finite"),
+        ((np.zeros(2), math.nan, 0.0), "log_signal_variance must be finite"),
+        ((np.zeros(2), 0.0, -math.inf), "log_noise_variance must be finite"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            KernelParams(*args)
+
+
 def test_noise_floor_is_enforced() -> None:
     with pytest.raises(ValueError):
         KernelParams(np.zeros(1), 0.0, math.log(1e-12))

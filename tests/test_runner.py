@@ -21,7 +21,9 @@ from afsched.acquisition import AcquisitionKind
 from afsched.gp import GpFitError
 from afsched.runner import (
     CellFailure,
+    CurvePoint,
     ExperimentConfig,
+    FinalPoint,
     StepRecord,
     TrialError,
     TrialTrajectory,
@@ -31,6 +33,7 @@ from afsched.runner import (
     run_grid,
     run_trial,
     write_records,
+    write_report,
 )
 from afsched.schedule import SCHEDULE_NAMES, kind_at
 
@@ -77,6 +80,9 @@ def test_config_validation() -> None:
         ExperimentConfig(dim=2, seeds=(0,), schedules=("ee30",))
     with pytest.raises(ValueError):
         ExperimentConfig(dim=2, seeds=(0,), doe_size=1)
+    for field, value in (("dim", 1), ("bo_evals", 0), ("gp_restarts", 0)):
+        with pytest.raises(ValueError, match=f"{field} must be >= {value + 1}"):
+            ExperimentConfig(**{"dim": 2, "seeds": (0,), field: value})
     bad_lists = [("functions", ()), ("schedules", ()), ("functions", ("f1", "f5", "f1")), ("schedules", ("ei", "ei"))]
     for field, values in bad_lists:
         with pytest.raises(ValueError, match=field):
@@ -180,6 +186,16 @@ def test_grid_reports_each_function_seed_pair_as_soon_as_it_is_done(monkeypatch)
     assert events == [e for f, seed in pairs for e in (("start", f, seed), (f, "ei", seed), (f, "pi", seed))]
     keys = [(r.function_id, r.schedule_name, r.seed) for r in records]
     assert keys == [(f, s, seed) for f in ("f5", "f1") for s in ("ei", "pi") for seed in (1, 0)]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_grid_rejects_a_worker_count_below_one_before_any_unit(monkeypatch, workers) -> None:
+    def no_unit(*args):
+        raise AssertionError("a (function, seed) unit ran with an invalid worker count")
+
+    monkeypatch.setattr(runner_mod, "_run_schedules", no_unit)
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        run_grid(_config(), workers=workers)
 
 
 def test_grid_is_reproducible_and_worker_invariant(tmp_path) -> None:
@@ -544,6 +560,12 @@ def test_aggregate_skips_failures_and_rejects_mixed_dimensions() -> None:
         aggregate([trajs[0], dataclasses.replace(trajs[1], dim=3)])
 
 
+def test_aggregate_names_a_duplicate_cell() -> None:
+    trajs = [_synthetic_trajectory([10.0, 1.0], "f5", "pi", seed) for seed in (0, 1)]
+    with pytest.raises(ValueError, match=r"duplicate cell \('f5', 'pi', 1\)"):
+        aggregate([*trajs, trajs[1]])
+
+
 def test_aggregate_names_a_cell_group_whose_step_counts_differ() -> None:
     short = [_synthetic_trajectory([10.0, 1.0], seed=s) for s in (0, 1)]
     long = [_synthetic_trajectory([10.0, 1.0, 0.1], seed=s) for s in (2, 3)]
@@ -583,6 +605,41 @@ def test_aggregate_is_normalized_and_ignores_record_order(records, data) -> None
     assert all(0.0 <= f.value <= 1.0 for f in report.finals)
     shuffled = aggregate(data.draw(st.permutations(records)))
     assert (shuffled.curves, shuffled.finals, shuffled.bounds) == (report.curves, report.finals, report.bounds)
+
+
+def test_write_report_orders_rows_and_functions_by_table_rank_with_unlisted_ids_last(tmp_path) -> None:
+    # "zz" and "aa" are outside FUNCTION_IDS; "ei" appears under "zz" alone, after every "pi" and "random" row.
+    means = {
+        ("zz", "pi"): (0.2, 0.1), ("aa", "pi"): (0.5, 0.3), ("zz", "ei"): (0.6, 0.4),
+        ("f5", "pi"): (0.9, 0.7), ("f1", "random"): (1.0, 0.8),
+    }
+    curves = [CurvePoint(*cell, step, values[step - 1], 0.0) for cell, values in means.items() for step in (2, 1)]
+    finals = [FinalPoint(*cell, seed, values[1]) for cell, values in means.items() for seed in (3, 0)]
+    assert write_report(curves, finals, tmp_path) == ["f1", "f5", "aa", "zz"]
+    assert (tmp_path / "curve_zz.csv").read_text().splitlines() == [
+        "function,schedule,step,mean_norm_log_regret,ci_halfwidth",
+        "zz,ei,1,0.6,0.0",
+        "zz,ei,2,0.4,0.0",
+        "zz,pi,1,0.2,0.0",
+        "zz,pi,2,0.1,0.0",
+    ]
+    assert (tmp_path / "violin_aa.csv").read_text().splitlines() == [
+        "function,schedule,seed,final_norm_log_regret",
+        "aa,pi,0,0.3",
+        "aa,pi,3,0.3",
+    ]
+    per_function = [f"{prefix}_{fid}.csv" for prefix in ("curve", "violin") for fid in ("f1", "f5", "aa", "zz")]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(["average_curve.csv", *per_function])
+    # Each schedule's mean over the functions that ran it, summed in table order.
+    assert (tmp_path / "average_curve.csv").read_text().splitlines() == [
+        "schedule,step,mean_norm_log_regret",
+        "ei,1,0.6",
+        "ei,2,0.4",
+        f"pi,1,{(0.9 + 0.5 + 0.2) / 3}",
+        f"pi,2,{(0.7 + 0.3 + 0.1) / 3}",
+        "random,1,1.0",
+        "random,2,0.8",
+    ]
 
 
 def test_records_round_trip_through_jsonl(tmp_path) -> None:
@@ -791,6 +848,9 @@ def test_a_record_without_an_exact_json_form_names_its_cell_and_leaves_no_file(t
          "f1/ei/seed=3: doe_y holds float16 values"),
         (dataclasses.replace(good, steps=(dataclasses.replace(good.steps[0], x=good.steps[0].x.astype(np.longdouble)),)),
          f"f1/ei/seed=3: x holds {np.dtype(np.longdouble).name} values"),
+        # Python floats in an object array: they read back as a float64 array.
+        (dataclasses.replace(good, doe_x=np.array([[0.1, 0.2], [0.3, 0.4]], dtype=object)),
+         "f1/ei/seed=3: doe_x holds object values, which would read back as float64"),
     ]
     path = tmp_path / "records.jsonl"
     for bad, message in cases:
@@ -803,10 +863,11 @@ def test_a_record_without_an_exact_json_form_names_its_cell_and_leaves_no_file(t
     assert [r.function_id for r in read_records(path)] == ["null", "f5"]
 
 
-# Values of another kind than their field's: a string, booleans, None, a list, an int, numpy scalars and a float32 array.
+# Values of another kind than their field's: a string, booleans, None, a list, an int, numpy scalars, then a float32
+# and an object array.
 _STRAYS = (
     "1e3", True, np.True_, None, [0.5], 3, np.float64(0.5), np.float32(0.5), np.int64(3), np.str_("ei"),
-    np.array([0.5, 0.1], dtype=np.float32),
+    np.array([0.5, 0.1], dtype=np.float32), np.array([0.5, 0.1], dtype=object),
 )
 _HEADER_ATTRS = ("function_id", "schedule_name", "seed", "dim")
 _STEP_ATTRS = ("af", "x", "y", "incumbent")
@@ -826,7 +887,8 @@ class _Drawn:
 @given(record=_record(), data=st.data())
 @example(record=_synthetic_trajectory([0.5]), data=_Drawn("y", 3, 0))  # a lone int step value reads back as 3.0
 @example(record=_synthetic_trajectory([0.5]), data=_Drawn("incumbent", 3, 0))
-@example(record=_synthetic_trajectory([0.5]), data=_Drawn("x", _STRAYS[-1], 0))  # reads back as float64
+@example(record=_synthetic_trajectory([0.5]), data=_Drawn("x", _STRAYS[-2], 0))  # reads back as float64
+@example(record=_synthetic_trajectory([0.5]), data=_Drawn("doe_y", _STRAYS[-1]))  # reads back as float64
 def test_what_the_writer_accepts_the_reader_reads_bit_for_bit(tmp_path_factory, record, data) -> None:
     if isinstance(record, CellFailure):
         attrs = (*_HEADER_ATTRS, "step", "message")
