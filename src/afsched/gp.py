@@ -14,6 +14,7 @@ that predictions need, so a prediction does only per-query work.
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor
 from dataclasses import dataclass
 
 import numpy as np
@@ -362,17 +363,43 @@ def check_minimize() -> None:
         raise GpFitError(f"{binding} misses the minimum of a 2-d quadratic: x={result.x.tolist()}, {result.message}")
 
 
+def _ascents(x: np.ndarray, y_s: np.ndarray, starts: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """(final negative log likelihood, theta) of a bounded L-BFGS ascent from each row of `starts`, in order.
+
+    `y_s` holds the standardized targets. A module-level function of arrays,
+    so that fit can run some of the ascents in another process.
+    """
+    d = x.shape[1]
+    raw_sq = _sq_diffs(x)
+
+    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        try:
+            value, grad = _lml_and_grad(theta, raw_sq, y_s)
+        except GpFitError:
+            return _FAILED_OBJECTIVE, np.zeros(d + 2)
+        return -value, -grad
+
+    bounds = [_BOUND_LENGTHSCALE] * d + [_BOUND_SIGNAL_VAR, _BOUND_NOISE_VAR]
+    results = [minimize(objective, start, bounds, maxiter=200) for start in starts]
+    return [(result.fun, result.x) for result in results]
+
+
 def fit(
     train_x: np.ndarray,
     train_y: np.ndarray,
     restarts: int,
     rng: np.random.Generator | int,
+    executor: Executor | None = None,
 ) -> GpModel:
     """Fit kernel hyperparameters by multi-start likelihood ascent.
 
     Runs `restarts` bounded L-BFGS ascents from log-uniform initial points
     drawn from `rng` and keeps the best final likelihood (first winner on
-    ties). Deterministic given (data, restarts, seed).
+    ties). Deterministic given (data, restarts, seed). With an `executor`,
+    the last restarts // 2 ascents run there as one task while this process
+    runs the others; the results are read in restart order, so the model is
+    the same bit for bit as without one, provided the executor's workers
+    run BLAS on one thread as this process does.
     """
     x, y = _validate_inputs(train_x, train_y)
     n, d = x.shape
@@ -384,15 +411,6 @@ def fit(
 
     y_s, y_mean, y_std = _standardize(y)
 
-    raw_sq = _sq_diffs(x)
-
-    def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        try:
-            value, grad = _lml_and_grad(theta, raw_sq, y_s)
-        except GpFitError:
-            return _FAILED_OBJECTIVE, np.zeros(d + 2)
-        return -value, -grad
-
     starts = np.column_stack(
         [
             rng.uniform(math.log(_START_LENGTHSCALE[0]), math.log(_START_LENGTHSCALE[1]), size=(restarts, d)),
@@ -400,17 +418,21 @@ def fit(
             rng.uniform(math.log(_START_NOISE_VAR[0]), math.log(_START_NOISE_VAR[1]), size=(restarts, 1)),
         ]
     )
-    bounds = [_BOUND_LENGTHSCALE] * d + [_BOUND_SIGNAL_VAR, _BOUND_NOISE_VAR]
+    if executor is None or restarts < 2:
+        ascents = _ascents(x, y_s, starts)
+    else:
+        here = restarts - restarts // 2
+        there = executor.submit(_ascents, x, y_s, starts[here:])
+        ascents = _ascents(x, y_s, starts[:here]) + there.result()
 
     best_theta = None
     best_neg = math.inf
     failed = 0
-    for i in range(restarts):
-        result = minimize(objective, starts[i], bounds, maxiter=200)
-        failed += result.fun >= _FAILED_OBJECTIVE
-        if result.fun < best_neg:
-            best_neg = float(result.fun)
-            best_theta = np.asarray(result.x, dtype=float)
+    for value, theta in ascents:
+        failed += value >= _FAILED_OBJECTIVE
+        if value < best_neg:
+            best_neg = float(value)
+            best_theta = np.asarray(theta, dtype=float)
     if failed == restarts or best_theta is None or not math.isfinite(best_neg):
         raise GpFitError(
             f"all {restarts} likelihood ascents failed"

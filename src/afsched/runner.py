@@ -11,9 +11,11 @@ work, and of parallel work in the grid, is a (function, seed) pair, whose
 schedules run as one walk over the nodes of the trie of their acquisition
 sequences. A node is the schedules that agree so far plus their shared steps;
 it costs one GP fit, and one maximization and evaluation per acquisition kind
-its schedules choose next. Every step runs on one BLAS thread. The output
+its schedules choose next. A lone trial, which has no other pair to run
+beside it, runs half of each fit's likelihood ascents in one helper process
+instead. Every step, and the helper, runs on one BLAS thread. The output
 follows the config's function x schedule x seed order and is byte-identical
-for any worker count."""
+for any worker count, with or without the helper."""
 
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import contextlib
 import ctypes
 import gc
 import json
+import multiprocessing
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -171,8 +174,15 @@ class CellFailure:
 
 
 def run_trial(function_id: str, schedule_name: str, seed: int, config: ExperimentConfig) -> TrialTrajectory:
-    """Run one cell; raises TrialError naming the step and the cause if a surrogate step fails."""
-    (record,) = _run_schedules(function_id, (schedule_name,), seed, config)
+    """Run one cell; raises TrialError naming the step and the cause if a surrogate step fails.
+
+    With more than one GP restart, more than one usable CPU and a process
+    that may have children (not a daemonic one), every fit runs half of its
+    restarts in one helper process, which lives for the trial alone and
+    leaves the record the same bit for bit.
+    """
+    with _restart_helper(config) as helper:
+        (record,) = _run_schedules(function_id, (schedule_name,), seed, config, helper)
     if isinstance(record, CellFailure):
         raise TrialError(record)
     return record
@@ -243,9 +253,34 @@ def _one_blas_thread():
             set_threads(count)
 
 
+def _pin_one_blas_thread() -> None:
+    """Put every loaded OpenBLAS copy on one thread for the rest of the process: the restart helper's initializer.
+
+    So the helper's reductions round as the parent's steps do, whatever its
+    start method and OPENBLAS_NUM_THREADS.
+    """
+    for _, set_threads in _openblas_thread_controls():
+        set_threads(1)
+
+
+def _restart_helper(config: ExperimentConfig) -> contextlib.AbstractContextManager[ProcessPoolExecutor | None]:
+    """A one-process pool for run_trial's fits to run half their restarts in, or None where it cannot help or run.
+
+    run_grid's workers take a core each already and fit serially.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if config.gp_restarts > 1 and cores > 1 and not multiprocessing.current_process().daemon:
+        return ProcessPoolExecutor(max_workers=1, initializer=_pin_one_blas_thread)
+    return contextlib.nullcontext()
+
+
 @_one_blas_thread()
 def _run_schedules(
-    function_id: str, schedule_names: tuple[str, ...], seed: int, config: ExperimentConfig
+    function_id: str,
+    schedule_names: tuple[str, ...],
+    seed: int,
+    config: ExperimentConfig,
+    helper: ProcessPoolExecutor | None = None,
 ) -> list[TrialTrajectory | CellFailure]:
     """Run every named schedule on one (function, seed); one record per name, in order.
 
@@ -257,7 +292,8 @@ def _run_schedules(
     An exception in the design phase becomes a CellFailure at step 0 for every
     schedule, one in the fit a CellFailure at that step for every schedule of
     the node, and one in maximize_af or evaluate for every schedule of that
-    kind; the other schedules go on.
+    kind; the other schedules go on. Each fit passes `helper` to gp.fit, and
+    a failure there fails the step as one in this process would.
     """
     total = config.bo_evals
     # kind_at is pure, so an unknown name raises here, before any fit.
@@ -285,6 +321,7 @@ def _run_schedules(
                 np.append(doe_y, [rec.y for rec in steps]),
                 restarts=config.gp_restarts,
                 rng=substream(seed, function_id, "gp-restarts", t),
+                executor=helper,
             )
         except Exception as exc:  # a failed step fails its cells, never the grid
             records.update(_failures(function_id, names, seed, config.dim, t, exc))
@@ -684,7 +721,7 @@ def write_aggregate(report: AggregateReport, out_dir) -> None:
     _write_csv(out_dir / "finals.csv", FINAL_COLUMNS, report.finals)
     meta = {
         "bounds": {fid: list(b) for fid, b in report.bounds.items()},
-        "degenerate": sorted(report.degenerate),
+        "degenerate": list(report.degenerate),
     }
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

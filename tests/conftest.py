@@ -1,9 +1,10 @@
 """Test-session setup.
 
 BLAS is pinned to one thread per process before numpy loads. `run_trial`
-and `run_grid` pin it themselves while they run; this covers the tests that
-call the GP and the maximizer directly, whose small matrix products gain
-nothing from OpenBLAS's default of one thread per core.
+and `run_grid` pin it themselves while they run, and `run_trial`'s restart
+helper process pins its own when it starts; this covers the tests that call
+the GP and the maximizer directly, whose small matrix products gain nothing
+from OpenBLAS's default of one thread per core.
 
 Property tests draw their examples from a fixed seed (`derandomize`), so a
 test run is as repeatable as the rest of the suite.

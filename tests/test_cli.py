@@ -106,15 +106,20 @@ def test_aggregate_names_a_cell_that_two_files_hold(tmp_path, capsys) -> None:
 
 
 def test_aggregate_warns_of_a_function_whose_log_regrets_are_all_equal(tmp_path, capsys) -> None:
-    # Every incumbent is the optimum, so every log-regret is the clamp's.
+    # Every incumbent is the optimum, so every log-regret is the clamp's. The file
+    # lists f16 first, and by name it sorts first too; both lists keep table order.
     step = StepRecord(1, AcquisitionKind.EI, np.zeros(2), 0.0, 0.0)
-    found = [TrialTrajectory("f5", "ei", seed, 2, 0.0, np.zeros((2, 2)), np.ones(2), (step,)) for seed in (0, 1)]
+    found = [
+        TrialTrajectory(fid, "ei", seed, 2, 0.0, np.zeros((2, 2)), np.ones(2), (step,))
+        for fid in ("f16", "f5")
+        for seed in (0, 1)
+    ]
     runs = tmp_path / "runs"
     runs.mkdir()
     write_records(found, runs / "found.jsonl")
     assert main(["aggregate", "--in", str(runs), "--out", str(tmp_path / "agg")]) == 0
-    assert "warning: degenerate normalization (all values equal) for: f5\n" in capsys.readouterr().out
-    assert json.loads((tmp_path / "agg" / "meta.json").read_text())["degenerate"] == ["f5"]
+    assert "warning: degenerate normalization (all values equal) for: f5, f16\n" in capsys.readouterr().out
+    assert json.loads((tmp_path / "agg" / "meta.json").read_text())["degenerate"] == ["f5", "f16"]
 
 
 def test_aggregate_rejects_mixed_dimensions(tmp_path, capsys) -> None:

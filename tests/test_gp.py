@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dtrtrs
 
-from afsched import gp
+from afsched import gp, runner
 from afsched.gp import (
     GpFitError,
     KernelParams,
@@ -214,10 +219,7 @@ def test_lml_matches_dense_oracle_with_jitter(monkeypatch) -> None:
 
 
 def test_fit_raises_when_every_ascent_fails(monkeypatch) -> None:
-    def never_factorizes(k_noisy):
-        raise GpFitError("Cholesky factorization failed up to jitter 0.0001")
-
-    monkeypatch.setattr(gp, "_chol_with_jitter", never_factorizes)
+    monkeypatch.setattr(gp, "_chol_with_jitter", _never_factorizes)
     x = np.random.default_rng(37).random((6, 2))
     with pytest.raises(GpFitError, match="all 3 likelihood ascents failed"):
         fit(x, x.sum(axis=1), restarts=3, rng=0)
@@ -384,17 +386,26 @@ def test_minimize_matches_scipy_lbfgsb_bit_for_bit(monkeypatch) -> None:
     assert any(m == "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT" for m in messages)
 
 
+_REAL_CHOL = gp._chol_with_jitter
+
+
+def _chol_failing_at_large_variance(k_noisy):
+    """_chol_with_jitter, except that it "fails" where the prior variance sv + nv exceeds 3.
+
+    There the fit's objective returns its 1e25 failure value with a zero
+    gradient, so an ascent that starts there ends there.
+    """
+    if k_noisy[0, 0] > 3.0:
+        raise GpFitError("Cholesky factorization failed up to jitter 0.0001")
+    return _REAL_CHOL(k_noisy)
+
+
+def _never_factorizes(k_noisy):
+    raise GpFitError("Cholesky factorization failed up to jitter 0.0001")
+
+
 def test_minimize_matches_scipy_on_a_failing_objective(monkeypatch) -> None:
-    # Where the prior variance sv + nv exceeds 3, the Cholesky "fails", so the
-    # objective returns its 1e25 failure value with a zero gradient there.
-    real_chol = gp._chol_with_jitter
-
-    def chol_failing_at_large_variance(k_noisy):
-        if k_noisy[0, 0] > 3.0:
-            raise GpFitError("Cholesky factorization failed up to jitter 0.0001")
-        return real_chol(k_noisy)
-
-    monkeypatch.setattr(gp, "_chol_with_jitter", chol_failing_at_large_variance)
+    monkeypatch.setattr(gp, "_chol_with_jitter", _chol_failing_at_large_variance)
     rng = np.random.default_rng(47)
     x = rng.random((12, 2))
     y = np.sin(5.0 * x[:, 0]) + x[:, 1]
@@ -408,6 +419,84 @@ def test_minimize_matches_scipy_on_a_failing_objective(monkeypatch) -> None:
 
         _assert_minimize_matches_scipy(recorded, x0, bounds, 200)
     assert gp._FAILED_OBJECTIVE in values
+
+
+def _serial_and_helper_fits(x: np.ndarray, y: np.ndarray, restarts: int, seed: int, context: str = "fork"):
+    """fit without and with a one-process helper: each model's hyperparameters, Cholesky factor and alpha as bytes,
+    or its GpFitError message, and the number of ascents that ended on the failure value here and in the helper.
+
+    A forked helper runs whatever this process has patched into gp.
+    """
+    ended_failed = multiprocessing.get_context("fork").Array("i", 2, lock=False)  # shared with a forked helper
+    here = os.getpid()
+    real_minimize = gp.minimize
+
+    def counting(fun, x0, bounds, maxiter):
+        result = real_minimize(fun, x0, bounds, maxiter)
+        ended_failed[os.getpid() != here] += result.fun >= gp._FAILED_OBJECTIVE
+        return result
+
+    def bits(executor):
+        try:
+            model = fit(x, y, restarts=restarts, rng=seed, executor=executor)
+        except GpFitError as exc:
+            return str(exc)
+        return model.params.to_vector().tobytes(), model.chol.tobytes(), model.alpha.tobytes()
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gp, "minimize", counting)
+        serial = bits(None)
+        mp_context = multiprocessing.get_context(context)
+        with ProcessPoolExecutor(1, mp_context=mp_context, initializer=runner._pin_one_blas_thread) as helper:
+            helped = bits(helper)
+    return serial, helped, list(ended_failed)
+
+
+@settings(max_examples=30)
+@given(
+    restarts=st.integers(1, 8),
+    n=st.integers(2, 40),
+    d=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    chol=st.sampled_from([_REAL_CHOL, _chol_failing_at_large_variance, _never_factorizes]),
+)
+@example(restarts=8, n=12, d=2, seed=0, chol=_chol_failing_at_large_variance)
+@example(restarts=3, n=6, d=2, seed=37, chol=_never_factorizes)
+def test_a_fit_with_a_helper_process_is_the_serial_fit_bit_for_bit(restarts, n, d, seed, chol) -> None:
+    # The helper runs the last restarts // 2 ascents; the winner, its model and a
+    # failure's message are the serial fit's, also where some or all ascents fail.
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, d))
+    y = np.sin(5.0 * x[:, 0]) + x[:, 1:].sum(axis=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gp, "_chol_with_jitter", chol)
+        serial, helped, _ = _serial_and_helper_fits(x, y, restarts, seed)
+    assert helped == serial
+
+
+def test_a_helper_ascent_ending_on_the_failure_value_or_every_ascent_failing_gives_the_serial_outcome(
+    monkeypatch,
+) -> None:
+    rng = np.random.default_rng(47)
+    x = rng.random((12, 2))
+    y = np.sin(5.0 * x[:, 0]) + x[:, 1]
+    monkeypatch.setattr(gp, "_chol_with_jitter", _chol_failing_at_large_variance)
+    serial, helped, ended_failed = _serial_and_helper_fits(x, y, 8, 0)
+    assert helped == serial and not isinstance(serial, str)
+    assert ended_failed[0] > 0 and ended_failed[1] > 0, "failed ascents both here and in the helper"
+
+    monkeypatch.setattr(gp, "_chol_with_jitter", _never_factorizes)
+    serial, helped, _ = _serial_and_helper_fits(x, y, 3, 0)
+    assert helped == serial == "all 3 likelihood ascents failed (3 ended on a kernel matrix no jitter could factorize)"
+
+
+def test_a_spawned_helper_gives_the_serial_fit_bit_for_bit() -> None:
+    # A spawned helper imports gp afresh and pins its own BLAS threads.
+    rng = np.random.default_rng(53)
+    x = rng.random((40, 5))
+    y = ((x - 0.3) ** 2).sum(axis=1)
+    serial, helped, _ = _serial_and_helper_fits(x, y, 8, 53, context="spawn")
+    assert helped == serial and not isinstance(serial, str)
 
 
 def test_cholesky_reconstructs_noisy_kernel() -> None:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import gc
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import afsched
+import afsched.gp as gp_mod
 import afsched.runner as runner_mod
 from afsched.acquisition import AcquisitionKind
 from afsched.gp import GpFitError
@@ -419,7 +422,8 @@ def test_an_exception_in_the_evaluation_fails_every_schedule_of_that_branch(monk
 
 
 _BLAS_THREADS_IN_TRIALS = """
-import ctypes, json, os
+import ctypes, json, multiprocessing, os
+import afsched.gp as gp
 import afsched.runner as runner
 from afsched.gp import GpFitError
 
@@ -437,24 +441,45 @@ def threads():
 def fit(*args, **kwargs):  # report the thread counts a step sees through its failure message
     raise GpFitError(json.dumps(threads()))
 
-before = threads()
-runner.fit = fit  # forked workers inherit the replacement
-config = runner.ExperimentConfig(dim=2, seeds=(0, 1), functions=("f1",), schedules=("ei",))
-records = runner.run_grid(config, workers=2) + runner.run_grid(config, workers=1)
-try:
-    runner.run_trial("f1", "ei", 0, config)
-except runner.TrialError as exc:
-    records.append(exc.failure)
-print(json.dumps({"before": before, "steps": [json.loads(r.message) for r in records], "after": threads()}))
+def ascents(x, y_s, starts, real=gp._ascents):  # the same from the restart helper's ascents
+    if multiprocessing.parent_process() is not None:
+        raise GpFitError(json.dumps(threads()))
+    return real(x, y_s, starts)
+
+def helper_threads(config):
+    try:
+        runner.run_trial("f1", "ei", 0, config)
+    except runner.TrialError as exc:
+        return json.loads(exc.failure.message)
+
+if __name__ == "__main__":
+    before = threads()
+    real_fit, runner.fit = runner.fit, fit  # forked workers inherit the replacement
+    config = runner.ExperimentConfig(dim=2, seeds=(0, 1), functions=("f1",), schedules=("ei",))
+    records = runner.run_grid(config, workers=2) + runner.run_grid(config, workers=1)
+    try:
+        runner.run_trial("f1", "ei", 0, config)
+    except runner.TrialError as exc:
+        records.append(exc.failure)
+    runner.fit, gp._ascents = real_fit, ascents  # a spawned helper imports this file for the replacement
+    helpers = [helper_threads(config)]
+    multiprocessing.set_start_method("spawn", force=True)
+    helpers.append(helper_threads(config))
+    steps = [json.loads(r.message) for r in records]
+    print(json.dumps({"before": before, "steps": steps, "helpers": helpers, "after": threads()}))
 """
 
 
 @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="lists loaded libraries through /proc")
-def test_trials_run_openblas_on_one_thread_and_restore_it() -> None:
+def test_trials_run_openblas_on_one_thread_and_restore_it(tmp_path) -> None:
+    # A forked and a spawned restart helper each pin their own threads: the
+    # script's environment leaves OpenBLAS at its default of one per core.
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["PYTHONPATH"] = str(Path(afsched.__file__).parents[1])
+    script = tmp_path / "blas_threads_in_trials.py"
+    script.write_text(_BLAS_THREADS_IN_TRIALS)
     out = subprocess.run(
-        [sys.executable, "-c", _BLAS_THREADS_IN_TRIALS], env=env, capture_output=True, text=True, check=True
+        [sys.executable, str(script)], env=env, capture_output=True, text=True, check=True, timeout=300
     ).stdout
     seen = json.loads(out)
     if not seen["before"]:
@@ -462,6 +487,9 @@ def test_trials_run_openblas_on_one_thread_and_restore_it() -> None:
     assert len(seen["steps"]) == 5
     for found in seen["steps"]:
         assert found == dict.fromkeys(seen["before"], 1), seen
+    # With one usable CPU there is no helper, and the trials succeed.
+    helped = len(os.sched_getaffinity(0)) > 1
+    assert seen["helpers"] == [dict.fromkeys(seen["before"], 1) if helped else None] * 2, seen
     assert seen["after"] == seen["before"]
 
 
@@ -475,6 +503,120 @@ def test_a_trial_with_no_blas_to_pin_gives_the_same_record(monkeypatch) -> None:
     monkeypatch.setattr(runner_mod, "open", unreadable, raising=False)
     assert runner_mod._openblas_thread_controls() == []
     assert _fingerprint(run_trial("f1", "ei", 0, cfg)) == _fingerprint(pinned)
+
+
+# The restart helper of run_trial: 4 restarts, 2 of them in the helper.
+_HELPED = dict(seeds=(0,), schedules=("ei",), gp_restarts=4)
+
+# Tests that patch what a helper runs: it sees the patch only when forked from this process.
+_FORKED_HELPER = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork" or len(os.sched_getaffinity(0)) < 2,
+    reason="needs a restart helper forked from the test process",
+)
+
+
+def _serial_path(patch) -> None:
+    """Make run_trial fit without its helper."""
+    patch.setattr(runner_mod, "_restart_helper", lambda config: contextlib.nullcontext())
+
+
+def test_run_trial_keeps_one_helper_for_its_walk_and_leaves_no_process_on_return_or_error(monkeypatch) -> None:
+    cfg = _config(**_HELPED)
+    helpers = []  # the live child processes after each fit
+    original_fit = runner_mod.fit
+
+    def fit(*args, **kwargs):
+        model = original_fit(*args, **kwargs)
+        helpers.append([child.pid for child in multiprocessing.active_children()])
+        return model
+
+    monkeypatch.setattr(runner_mod, "fit", fit)
+    helped = run_trial("f1", "ei", 0, cfg)
+    assert multiprocessing.active_children() == []
+    one_helper = [[helpers[0][0]]] * cfg.bo_evals if len(os.sched_getaffinity(0)) > 1 else [[]] * cfg.bo_evals
+    assert helpers == one_helper
+
+    with monkeypatch.context() as patch:
+        _serial_path(patch)
+        assert _fingerprint(run_trial("f1", "ei", 0, cfg)) == _fingerprint(helped)
+
+    original_maximize = runner_mod.maximize_af
+
+    def maximize_af(kind, model, y_min, rng):
+        if model.train_x.shape[0] > cfg.doe_size:
+            raise FloatingPointError("forced failure")
+        return original_maximize(kind, model, y_min, rng)
+
+    monkeypatch.setattr(runner_mod, "maximize_af", maximize_af)
+    with pytest.raises(TrialError, match="f1/ei/seed=0 failed at step 2: FloatingPointError: forced failure"):
+        run_trial("f1", "ei", 0, cfg)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_trial_in_a_daemonic_process_fits_without_a_helper_and_gives_the_same_record() -> None:
+    # A daemonic process may not have children; a pool's workers are daemonic.
+    cfg = _config(**_HELPED)
+    pool = multiprocessing.get_context("spawn").Pool(1)
+    try:
+        inside = pool.apply(run_trial, ("f1", "ei", 0, cfg))
+    finally:
+        pool.close()
+        pool.join()
+    assert _fingerprint(inside) == _fingerprint(run_trial("f1", "ei", 0, cfg))
+
+
+@_FORKED_HELPER
+def test_an_exception_in_a_helper_ascent_fails_the_step_as_in_the_serial_path(monkeypatch) -> None:
+    cfg = _config(**_HELPED)
+    real_minimize = gp_mod.minimize
+    here = os.getpid()
+    starts_here = []
+
+    def recording(fun, x0, bounds, maxiter):
+        if os.getpid() == here:
+            starts_here.append(x0.tolist())
+        return real_minimize(fun, x0, bounds, maxiter)
+
+    with monkeypatch.context() as patch:
+        _serial_path(patch)
+        patch.setattr(gp_mod, "minimize", recording)
+        run_trial("f1", "ei", 0, cfg)
+    target = starts_here[cfg.gp_restarts - 1]  # the last start of step 1: the helper's
+    starts_here.clear()
+
+    def failing(fun, x0, bounds, maxiter):
+        if x0.tolist() == target:
+            raise ArithmeticError(f"no ascent from {target}")
+        return recording(fun, x0, bounds, maxiter)
+
+    monkeypatch.setattr(gp_mod, "minimize", failing)
+    with monkeypatch.context() as patch:
+        _serial_path(patch)
+        with pytest.raises(TrialError) as serial:
+            run_trial("f1", "ei", 0, cfg)
+    starts_here.clear()
+    with pytest.raises(TrialError) as helped:
+        run_trial("f1", "ei", 0, cfg)
+    assert target not in starts_here  # it ran in the helper
+    assert helped.value.failure == serial.value.failure
+    assert serial.value.failure == CellFailure("f1", "ei", 0, 2, step=1, message=f"ArithmeticError: no ascent from {target}")
+    assert multiprocessing.active_children() == []
+
+
+@_FORKED_HELPER
+def test_a_helper_that_dies_mid_fit_fails_the_step_and_leaves_no_process(monkeypatch) -> None:
+    real_minimize = gp_mod.minimize
+    here = os.getpid()
+
+    def dying(fun, x0, bounds, maxiter):
+        if os.getpid() != here:
+            os._exit(1)
+        return real_minimize(fun, x0, bounds, maxiter)
+
+    monkeypatch.setattr(gp_mod, "minimize", dying)
+    with pytest.raises(TrialError, match="f1/ei/seed=0 failed at step 1: BrokenProcessPool: "):
+        run_trial("f1", "ei", 0, _config(**_HELPED))
+    assert multiprocessing.active_children() == []
 
 
 def test_log_regret_of_powers_of_ten() -> None:
