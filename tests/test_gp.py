@@ -474,12 +474,16 @@ def test_a_fit_with_a_helper_process_is_the_serial_fit_bit_for_bit(restarts, n, 
     assert helped == serial
 
 
-def test_a_helper_ascent_ending_on_the_failure_value_or_every_ascent_failing_gives_the_serial_outcome(
-    monkeypatch,
-) -> None:
+def test_a_helper_keeps_the_serial_winner_on_ties_and_failures(monkeypatch) -> None:
     rng = np.random.default_rng(47)
     x = rng.random((12, 2))
     y = np.sin(5.0 * x[:, 0]) + x[:, 1]
+    with monkeypatch.context() as patch:
+        # A flat likelihood: every ascent stops at its start with the same value, and the first start wins.
+        patch.setattr(gp, "_lml_and_grad", lambda theta, raw_sq, y_s: (0.0, np.zeros(theta.size)))
+        serial, helped, _ = _serial_and_helper_fits(x, y, 8, 0)
+    assert helped == serial and not isinstance(serial, str)
+
     monkeypatch.setattr(gp, "_chol_with_jitter", _chol_failing_at_large_variance)
     serial, helped, ended_failed = _serial_and_helper_fits(x, y, 8, 0)
     assert helped == serial and not isinstance(serial, str)
