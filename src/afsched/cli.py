@@ -13,8 +13,8 @@ from .runner import (
     CellFailure,
     ExperimentConfig,
     aggregate,
+    iter_records,
     read_aggregate,
-    read_records,
     run_grid,
     write_aggregate,
     write_records,
@@ -112,7 +112,7 @@ def _cmd_aggregate(args) -> int:
     files = sorted(args.in_dir.glob("*.jsonl"))
     if not files:
         raise ValueError(f"no trajectory files (*.jsonl) in {args.in_dir}")
-    report = aggregate([record for path in files for record in read_records(path)])
+    report = aggregate(record for path in files for record in iter_records(path))
     write_aggregate(report, args.out)
     if report.degenerate:
         print(f"warning: degenerate normalization (all values equal) for: {', '.join(report.degenerate)}")

@@ -26,6 +26,7 @@ import json
 import multiprocessing
 import operator
 import os
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain, groupby, repeat
@@ -58,6 +59,7 @@ __all__ = [
     "aggregate",
     "write_records",
     "read_records",
+    "iter_records",
     "write_aggregate",
     "read_aggregate",
     "write_report",
@@ -438,29 +440,34 @@ def _table_order(row: tuple) -> tuple:
     return (_rank(row[0], FUNCTION_IDS), _rank(row[1], SCHEDULE_NAMES), row[2])
 
 
-def aggregate(records: list[TrialTrajectory | CellFailure]) -> AggregateReport:
+def aggregate(records: Iterable[TrialTrajectory | CellFailure]) -> AggregateReport:
     """Min-max normalize log-regrets per function and average over seeds.
 
-    Takes records as run_grid and read_records return them and skips the
-    CellFailures. The trajectories left must share one dimension, and the
-    cells of each (function, schedule) need >= 2 seeds and one step count of
-    at least 1; otherwise, or if no trajectory is left, ValueError. Bounds
-    cover all schedules, seeds and steps present for a function; the
-    confidence halfwidth is 1.96 * sample std / sqrt(n_seeds). Functions whose
-    values are all equal normalize to 0 and are flagged as degenerate.
+    Takes any iterable of records, reads it once, keeps one log_regret per
+    cell and skips the CellFailures. The trajectories must share one
+    dimension and hold one cell each, and the cells of each (function,
+    schedule) need >= 2 seeds and one step count of at least 1; otherwise, or
+    if no trajectory is given, ValueError. Bounds cover all schedules, seeds
+    and steps present for a function; the confidence halfwidth is 1.96 *
+    sample std / sqrt(n_seeds). Functions whose values are all equal
+    normalize to 0 and are flagged as degenerate.
     """
-    trajectories = [r for r in records if isinstance(r, TrialTrajectory)]
-    if not trajectories:
+    by_cell: dict[tuple[str, str, int], np.ndarray] = {}
+    dims, duplicate = set(), None
+    for record in records:
+        if isinstance(record, TrialTrajectory):
+            dims.add(record.dim)
+            key = (record.function_id, record.schedule_name, record.seed)
+            if key in by_cell:
+                duplicate = duplicate or key
+            else:
+                by_cell[key] = log_regret(record)
+    if not by_cell:
         raise ValueError("no successful trajectories to aggregate")
-    dims = {traj.dim for traj in trajectories}
     if len(dims) > 1:
         raise ValueError(f"mixed dimensions {sorted(dims)} are not comparable")
-    by_cell: dict[tuple[str, str, int], np.ndarray] = {}
-    for traj in trajectories:
-        key = (traj.function_id, traj.schedule_name, traj.seed)
-        if key in by_cell:
-            raise ValueError(f"duplicate cell {key}")
-        by_cell[key] = log_regret(traj)
+    if duplicate:
+        raise ValueError(f"duplicate cell {duplicate}")
 
     cells = sorted(by_cell, key=_table_order)
     bounds: dict[str, tuple[float, float]] = {}
@@ -676,13 +683,32 @@ def _cyclic_gc_paused():
             gc.enable()
 
 
-def read_records(path) -> list[TrialTrajectory | CellFailure]:
-    """Records of a write_records file; a malformed line raises ValueError naming path:line.
+def iter_records(path) -> Iterator[TrialTrajectory | CellFailure]:
+    """The records of a write_records file, one at a time and in order.
 
-    Malformed covers a line that is not UTF-8 or not JSON (NaN and Infinity
-    are not), a missing field, a field that is not of its kind in _FIELDS,
-    step or design columns of different lengths and a point whose length is
-    not dim.
+    A malformed line raises ValueError naming path:line when it is reached,
+    after the records before it have been yielded. Malformed covers a line
+    that is not UTF-8 or not JSON (NaN and Infinity are not), a missing
+    field, a field that is not of its kind in _FIELDS, step or design columns
+    of different lengths and a point whose length is not dim. The cyclic
+    garbage collector is left as the caller has it.
+    """
+    with open(path, "rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = _record_from_json(orjson.loads(line))
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (ValueError, TypeError, IndexError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            yield record
+
+
+def read_records(path) -> list[TrialTrajectory | CellFailure]:
+    """The records of a write_records file as a list; iter_records's ValueError for a malformed line.
 
     The cyclic garbage collector is paused while the file's records are
     built. A study file holds a StepRecord and an array view per step: every
@@ -692,19 +718,8 @@ def read_records(path) -> list[TrialTrajectory | CellFailure]:
     frees memory as usual, and the collector's previous state is restored
     on return and on error.
     """
-    records = []
-    with open(path, "rb") as handle, _cyclic_gc_paused():
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(_record_from_json(orjson.loads(line)))
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
-            except (ValueError, TypeError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return records
+    with _cyclic_gc_paused():
+        return list(iter_records(path))
 
 
 def _write_csv(path, header, rows) -> None:
@@ -729,10 +744,17 @@ def write_aggregate(report: AggregateReport, out_dir) -> None:
 def read_aggregate(agg_dir) -> tuple[list[CurvePoint], list[FinalPoint]]:
     """The tables of a write_aggregate directory; a malformed row raises ValueError naming path:line."""
     curves = _read_csv(
-        agg_dir / "curves.csv", CURVE_COLUMNS, lambda r: CurvePoint(r[0], r[1], int(r[2]), float(r[3]), float(r[4]))
+        agg_dir / "curves.csv", CURVE_COLUMNS, lambda r: CurvePoint(r[0], r[1], int(r[2]), _finite(r[3]), _finite(r[4]))
     )
-    finals = _read_csv(agg_dir / "finals.csv", FINAL_COLUMNS, lambda r: FinalPoint(r[0], r[1], int(r[2]), float(r[3])))
+    finals = _read_csv(agg_dir / "finals.csv", FINAL_COLUMNS, lambda r: FinalPoint(r[0], r[1], int(r[2]), _finite(r[3])))
     return curves, finals
+
+
+def _finite(text: str) -> float:
+    """float(text); ValueError for nan and inf, which aggregate never writes."""
+    if -np.inf < (value := float(text)) < np.inf:
+        return value
+    raise ValueError(f"{text!r} is not a finite number")
 
 
 def _read_csv(path, expected_header, parse_row) -> list:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -103,6 +104,48 @@ def test_aggregate_names_a_cell_that_two_files_hold(tmp_path, capsys) -> None:
     assert main(["aggregate", "--in", str(runs), "--out", str(tmp_path / "agg")]) == 1
     assert "error: duplicate cell ('f1', 'ei', 0)" in capsys.readouterr().err
     assert not (tmp_path / "agg").exists()
+
+
+def _trajectory(seed: int) -> TrialTrajectory:
+    step = StepRecord(1, AcquisitionKind.EI, np.zeros(2), 0.5, 0.5)
+    return TrialTrajectory("f1", "ei", seed, 2, 0.0, np.zeros((2, 2)), np.ones(2), (step,))
+
+
+def test_aggregate_names_a_malformed_line_in_a_later_file_before_a_duplicate_cell(tmp_path, capsys) -> None:
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    write_records([_trajectory(0), _trajectory(1), _trajectory(1)], runs / "a.jsonl")
+    write_records([_trajectory(2)], runs / "b.jsonl")
+    with open(runs / "b.jsonl", "ab") as handle:
+        handle.write(b'{"function":"f1"}\n')
+    assert main(["aggregate", "--in", str(runs), "--out", str(tmp_path / "agg")]) == 1
+    assert f"error: {runs / 'b.jsonl'}:2: missing field 'schedule'" in capsys.readouterr().err
+    assert not (tmp_path / "agg").exists()
+
+
+def test_aggregate_holds_one_record_at_a_time(tmp_path, monkeypatch) -> None:
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    for name, seeds in (("a.jsonl", range(0, 6)), ("b.jsonl", range(6, 12))):
+        write_records(map(_trajectory, seeds), runs / name)
+    alive = peak = 0
+
+    def release() -> None:
+        nonlocal alive
+        alive -= 1
+
+    def counted(path):
+        nonlocal alive, peak
+        for record in runner_mod.iter_records(path):
+            peak = max(peak, alive)  # the records read before this one that are still alive
+            alive += 1
+            weakref.finalize(record, release)
+            yield record
+
+    monkeypatch.setattr(cli_mod, "iter_records", counted)
+    assert main(["aggregate", "--in", str(runs), "--out", str(tmp_path / "agg")]) == 0
+    # The previous record lives on in the consumer's loop variable until the next one replaces it.
+    assert (peak, alive) == (1, 0)
 
 
 def test_aggregate_warns_of_a_function_whose_log_regrets_are_all_equal(tmp_path, capsys) -> None:
@@ -395,6 +438,10 @@ def test_report_rejects_short_csv_rows(tmp_path, capsys) -> None:
             finals_header,
             "{agg}/curves.csv:2: could not convert string to float: 'abc'",
         ),
+        # aggregate never writes a non-finite value, and float() would read these as one.
+        (curves_header + "f1,ei,1,nan,inf\n", finals_header, "{agg}/curves.csv:2: 'nan' is not a finite number"),
+        (curves_header + "f1,ei,1,0.5,-Infinity\n", finals_header, "{agg}/curves.csv:2: '-Infinity' is not a finite"),
+        (curves_header, finals_header + "f1,ei,0,0.5\nf1,ei,1,inf\n", "{agg}/finals.csv:3: 'inf' is not a finite number"),
         (
             curves_header,
             finals_header + "f1,ei,0,0.5\n",

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import functools
 import gc
+import itertools
 import json
 import multiprocessing
 import os
@@ -31,6 +32,7 @@ from afsched.runner import (
     TrialError,
     TrialTrajectory,
     aggregate,
+    iter_records,
     log_regret,
     read_records,
     run_grid,
@@ -747,6 +749,7 @@ def test_aggregate_is_normalized_and_ignores_record_order(records, data) -> None
     assert all(0.0 <= f.value <= 1.0 for f in report.finals)
     shuffled = aggregate(data.draw(st.permutations(records)))
     assert (shuffled.curves, shuffled.finals, shuffled.bounds) == (report.curves, report.finals, report.bounds)
+    assert aggregate(iter(records)) == report
 
 
 def test_write_report_orders_rows_and_functions_by_table_rank_with_unlisted_ids_last(tmp_path) -> None:
@@ -896,6 +899,27 @@ def test_read_records_pauses_the_cyclic_collector_and_leaves_it_as_it_found_it(t
     finally:
         gc.enable() if was else gc.disable()
     assert seen == [False] * 5
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_iter_records_leaves_the_cyclic_collector_as_it_finds_it_even_when_abandoned(tmp_path, enabled) -> None:
+    bad = tmp_path / "bad.jsonl"
+    write_records(_spelling_records(), bad)
+    bad.write_bytes(bad.read_bytes() + b'{"function":"f1"}\n')
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        stream = iter_records(bad)
+        assert [record.function_id for record in itertools.islice(stream, 2)] == ["f1", "f5"]
+        assert gc.isenabled() is enabled  # the generator is suspended mid-file
+        with pytest.raises(ValueError, match="bad.jsonl:3: missing field 'schedule'"):
+            next(stream)
+        abandoned = iter_records(bad)
+        next(abandoned)
+        del abandoned
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def _spelling_records() -> list[TrialTrajectory | CellFailure]:
